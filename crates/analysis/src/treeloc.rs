@@ -244,7 +244,19 @@ impl SuspiciousArm {
 
 /// Ranks tree arms by how sharply they separate failing from passing
 /// subtrees. The top arm is the bug's *trigger condition* candidate.
+/// Subtree failure counts come from one [`ExecutionTree::sweep`], so the
+/// ranking is linear in the tree size.
 pub fn suspicious_arms(tree: &ExecutionTree, min_support: u64) -> Vec<SuspiciousArm> {
+    let sweep = tree.sweep();
+    rank_arms(tree, min_support, |id| sweep.subtree_failures(id))
+}
+
+/// [`suspicious_arms`] over any source of subtree failure counts.
+fn rank_arms(
+    tree: &ExecutionTree,
+    min_support: u64,
+    subtree_failures: impl Fn(NodeId) -> u64,
+) -> Vec<SuspiciousArm> {
     let mut out = Vec::new();
     for i in 0..tree.node_count() {
         let id = NodeId(i as u32);
@@ -272,13 +284,13 @@ pub fn suspicious_arms(tree: &ExecutionTree, min_support: u64) -> Vec<Suspicious
                 if child_visits < min_support {
                     continue;
                 }
-                let arm_failures = tree.subtree_failures(*child);
+                let arm_failures = subtree_failures(*child);
                 let sibling = children
                     .iter()
                     .find(|(d, _)| d != dir)
                     .and_then(|(_, c)| *c);
                 let (sib_failures, sib_visits) = match sibling {
-                    Some(s) => (tree.subtree_failures(s), tree.with_node(s, |n| n.visits)),
+                    Some(s) => (subtree_failures(s), tree.with_node(s, |n| n.visits)),
                     None => (0, 0),
                 };
                 let arm_rate = arm_failures as f64 / child_visits as f64;
@@ -412,10 +424,9 @@ mod tests {
         assert_eq!(buf, buf2);
     }
 
-    #[test]
-    fn suspicious_arm_separates_failing_subtree() {
+    /// Arm (0,true) fails 8/10; arm (0,false) fails 0/30.
+    fn one_failing_arm() -> ExecutionTree {
         let mut tree = ExecutionTree::new(ProgramId(1));
-        // Arm (0,true) fails 8/10; arm (0,false) fails 0/30.
         for _ in 0..8 {
             tree.merge_path(&[(s(0), true)], &crash_outcome(1));
         }
@@ -425,26 +436,20 @@ mod tests {
         for _ in 0..30 {
             tree.merge_path(&[(s(0), false)], &Outcome::Success);
         }
-        let arms = suspicious_arms(&tree, 1);
-        assert!(!arms.is_empty());
-        assert_eq!(arms[0].site, s(0));
-        assert!(arms[0].taken);
-        assert!(arms[0].score() > 0.7, "score {}", arms[0].score());
+        tree
     }
 
-    #[test]
-    fn min_support_filters_noise() {
+    /// One failing and one passing execution, one arm each.
+    fn two_singletons() -> ExecutionTree {
         let mut tree = ExecutionTree::new(ProgramId(1));
         tree.merge_path(&[(s(0), true)], &crash_outcome(1));
         tree.merge_path(&[(s(0), false)], &Outcome::Success);
-        assert!(suspicious_arms(&tree, 5).is_empty());
-        assert!(!suspicious_arms(&tree, 1).is_empty());
+        tree
     }
 
-    #[test]
-    fn deeper_trigger_outranks_shallow_noise() {
+    /// Failures only under (0,true)->(1,false).
+    fn deep_trigger() -> ExecutionTree {
         let mut tree = ExecutionTree::new(ProgramId(1));
-        // Failures only under (0,true)->(1,false).
         for _ in 0..10 {
             tree.merge_path(&[(s(0), true), (s(1), false)], &crash_outcome(2));
         }
@@ -454,9 +459,42 @@ mod tests {
         for _ in 0..20 {
             tree.merge_path(&[(s(0), false)], &Outcome::Success);
         }
-        let arms = suspicious_arms(&tree, 1);
+        tree
+    }
+
+    #[test]
+    fn suspicious_arm_separates_failing_subtree() {
+        let arms = suspicious_arms(&one_failing_arm(), 1);
+        assert!(!arms.is_empty());
+        assert_eq!(arms[0].site, s(0));
+        assert!(arms[0].taken);
+        assert!(arms[0].score() > 0.7, "score {}", arms[0].score());
+    }
+
+    #[test]
+    fn min_support_filters_noise() {
+        let tree = two_singletons();
+        assert!(suspicious_arms(&tree, 5).is_empty());
+        assert!(!suspicious_arms(&tree, 1).is_empty());
+    }
+
+    #[test]
+    fn deeper_trigger_outranks_shallow_noise() {
+        let arms = suspicious_arms(&deep_trigger(), 1);
         assert_eq!(arms[0].site, s(1));
         assert!(!arms[0].taken);
         assert!((arms[0].score() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sweep_ranking_matches_the_subtree_walks() {
+        for tree in [one_failing_arm(), two_singletons(), deep_trigger()] {
+            for min_support in [1, 2, 5, 20] {
+                assert_eq!(
+                    suspicious_arms(&tree, min_support),
+                    rank_arms(&tree, min_support, |id| tree.subtree_failures(id))
+                );
+            }
+        }
     }
 }

@@ -9,9 +9,10 @@
 //! regime information recycling exploits: byte-identical by-products
 //! only pay for decoding + reconstruction once.
 //!
-//! Writes `BENCH_ingest.json` into the current directory.
+//! Writes `BENCH_ingest.json` into the current directory (see
+//! `softborg_bench::write_record`).
 
-use softborg_bench::{banner, cell, table_header};
+use softborg_bench::{banner, cell, table_header, write_record};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::{BackpressurePolicy, IngestConfig, IngestStats};
 use softborg_pod::{Pod, PodConfig};
@@ -173,7 +174,6 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"experiment\": \"e14_ingest_scale\",\n");
-    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(
         json,
         "  \"workload\": {{\"scenario\": \"{}\", \"pods\": {}, \"execs_per_pod\": {}, \"batch_size\": {}, \"traces\": {}, \"distinct_paths\": {}, \"wire_bytes\": {}}},",
@@ -212,6 +212,5 @@ fn main() {
         "  \"note\": \"single-CPU host: speedup comes from information recycling (byte-keyed memoization of decode+reconstruct) plus batch framing, not parallelism; state verified identical to serial ingest for every row\""
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_ingest.json", json).expect("write BENCH_ingest.json");
-    println!("\nwrote BENCH_ingest.json");
+    write_record("BENCH_ingest.json", false, &json);
 }

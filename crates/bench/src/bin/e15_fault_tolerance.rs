@@ -7,7 +7,7 @@
 //! reseeds the trace generation and the per-cell simulations
 //! (default 21).
 
-use softborg_bench::{arg_seed, banner, cell, table_header};
+use softborg_bench::{arg_seed, banner, cell, table_header, write_record};
 use softborg_hive::transport::{run_reliable_ingest, TransportConfig};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::IngestConfig;
@@ -222,7 +222,6 @@ fn main() {
         "  \"note\": \"state compared via structural tree digest + HiveStats + coverage, against both the live transported hive and a Hive::recover journal replay\"\n",
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_fault.json", json).expect("write BENCH_fault.json");
-    println!("\nwrote BENCH_fault.json");
+    write_record("BENCH_fault.json", false, &json);
     assert!(all_ok, "E15 acceptance failed: see table above");
 }

@@ -10,7 +10,7 @@
 //! `--seed N` reseeds the platform campaign (default 29).
 
 use softborg::{DurabilityConfig, Platform, PlatformConfig};
-use softborg_bench::{arg_seed, banner, cell, table_header};
+use softborg_bench::{arg_seed, banner, cell, table_header, write_record};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption};
 use softborg_program::scenarios::{self, Scenario};
 use std::fmt::Write as _;
@@ -384,8 +384,7 @@ fn main() {
         "  \"note\": \"state compared byte-for-byte (serialized hive) against the uninterrupted run at the recovered round count\"\n",
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_durability.json", json).expect("write BENCH_durability.json");
-    println!("\nwrote BENCH_durability.json");
+    write_record("BENCH_durability.json", false, &json);
     let _ = std::fs::remove_dir_all(&base);
     assert!(all_ok, "E16 acceptance failed: see table above");
 }

@@ -14,7 +14,7 @@
 //! Writes `BENCH_shard.json` into the current directory. `--seed N`
 //! rebases the per-pod trace seeds (default 1000).
 
-use softborg_bench::{arg_seed, banner, cell, table_header};
+use softborg_bench::{arg_seed, banner, cell, table_header, write_record};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::{BackpressurePolicy, IngestConfig, MemoMode};
 use softborg_pod::{Pod, PodConfig};
@@ -364,7 +364,6 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"experiment\": \"e17_shard_scale\",\n");
-    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(
         json,
         "  \"workload\": {{\"programs\": {}, \"pods_per_program\": {N_PODS}, \"execs_per_pod\": {PER_POD}, \"batch_size\": {BATCH}, \"workers\": {WORKERS}, \"memo_total\": {MEMO_TOTAL}}},",
@@ -426,6 +425,5 @@ fn main() {
         "  \"note\": \"pinned worker budget ({WORKERS} workers) for every configuration; per-program hive state verified byte-identical to serial ingest in every sweep cell; on a single-CPU host the speedup comes from shared-pool recycling + batch framing, and extra shards add concurrency that needs extra cores to pay off\""
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_shard.json", json).expect("write BENCH_shard.json");
-    println!("\nwrote BENCH_shard.json");
+    write_record("BENCH_shard.json", false, &json);
 }

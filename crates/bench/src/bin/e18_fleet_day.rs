@@ -11,12 +11,13 @@
 //! names the entire fleet day, so any CI failure at this scale is
 //! single-step reproducible.
 //!
-//! Writes `BENCH_sim.json` into the current directory.
-//! `--smoke` runs the 5k-pod CI variant; `--pods N` and `--seed N`
-//! override the defaults.
+//! Writes `BENCH_sim.json` into the current directory for the full
+//! 100k-pod day. `--smoke` runs the 5k-pod CI variant; `--pods N` and
+//! `--seed N` override the defaults. Any other pod count is a smoke run,
+//! whose record goes under `target/bench-smoke/` instead.
 
 use softborg_bench::fleet::{self, DayConfig, DayOutcome, AGGS};
-use softborg_bench::{banner, cell, table_header};
+use softborg_bench::{banner, cell, table_header, write_record};
 use std::fmt::Write as _;
 
 /// One telemetry-free fleet day (see [`fleet::run_day`]); returns the
@@ -32,7 +33,8 @@ fn run_day(pods: u64, seed: u64) -> (DayOutcome, f64) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut pods: u64 = 100_000;
+    const FULL_PODS: u64 = 100_000;
+    let mut pods = FULL_PODS;
     let mut seed: u64 = 20_260_808;
     let mut i = 1;
     while i < args.len() {
@@ -192,6 +194,5 @@ fn main() {
         "  \"note\": \"single-threaded virtual-time run; every partition, crash, and disk fault fires at an exact virtual instant, and the whole day is named by one sched_trace_hash — rerunning with the same seed reproduces the fleet day event-for-event\""
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_sim.json", json).expect("write BENCH_sim.json");
-    println!("wrote BENCH_sim.json");
+    write_record("BENCH_sim.json", pods != FULL_PODS, &json);
 }

@@ -10,12 +10,13 @@
 //! flight-recorder event instead of a bare hash mismatch.
 //!
 //! Writes `BENCH_obs.json` and a sample flight-recorder export
-//! `OBS_sample.jsonl` into the current directory. `--seed N` reseeds
+//! `OBS_sample.jsonl` into the current directory (under
+//! `target/bench-smoke/` for a smoke run). `--seed N` reseeds
 //! the fleet day (default 20260808). `--smoke` runs the
 //! CI variant (fewer repetitions, 5k-pod day).
 
 use softborg_bench::fleet::{self, DayConfig};
-use softborg_bench::{arg_seed, banner, cell, table_header};
+use softborg_bench::{arg_seed, banner, cell, record_path, table_header, write_record};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::{BackpressurePolicy, IngestConfig};
 use softborg_obs::{
@@ -275,9 +276,13 @@ fn main() {
     );
 
     let jsonl = recorder.export_jsonl();
-    std::fs::write("OBS_sample.jsonl", &jsonl).expect("write OBS_sample.jsonl");
+    let sample = record_path("OBS_sample.jsonl", smoke);
+    std::fs::create_dir_all(sample.parent().unwrap_or(std::path::Path::new(".")))
+        .expect("create the sample's directory");
+    std::fs::write(&sample, &jsonl).expect("write OBS_sample.jsonl");
     println!(
-        "\nwrote OBS_sample.jsonl ({} events from the instrumented fleet day)",
+        "\nwrote {} ({} events from the instrumented fleet day)",
+        sample.display(),
         fleet_events
     );
 
@@ -285,7 +290,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"experiment\": \"E19 observability overhead\", \"reps\": {reps}, \"smoke\": {smoke},"
+        "  \"experiment\": \"E19 observability overhead\", \"reps\": {reps},"
     );
     let _ = writeln!(
         json,
@@ -324,8 +329,7 @@ fn main() {
         "  \"note\": \"overhead from {reps} back-to-back off/on pairs in alternating order: median is the central estimate, best (lowest) pair is the budget gate — genuine recording cost is systematic and shows in every pair, while co-tenant load bursts on a shared 1-CPU host only inflate the pairs they land on; off/on wall times shown are min-of-{reps}; telemetry-on runs attach a shared MetricsRegistry plus a 4096-events/source flight recorder; state (hive digest, full DayOutcome) asserted byte-identical on vs off; the divergence demo shifts exactly one crash instant and the explainer reports the first divergent event instead of a bare hash mismatch\""
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_obs.json", json).expect("write BENCH_obs.json");
-    println!("wrote BENCH_obs.json");
+    write_record("BENCH_obs.json", smoke, &json);
 
     assert!(
         pass,

@@ -21,12 +21,13 @@
 //! scheduling (prefix-probe ordering) and records how many full
 //! evaluations the first failure cost with and without guidance.
 //!
-//! Writes `BENCH_search.json` into the current directory and the
+//! Writes `BENCH_search.json` into the current directory (under
+//! `target/bench-smoke/` for a smoke run) and the
 //! divergence corpus under `--corpus DIR` (default
 //! `target/e20-corpus`). `--smoke` shrinks the budgets for CI;
 //! `--seed N` (default 7) and `--budget N` override the sweep.
 
-use softborg_bench::{arg_u64, banner, cell, table_header};
+use softborg_bench::{arg_u64, banner, cell, table_header, write_record};
 use softborg_hive::CanaryBug;
 use softborg_search::{replay_corpus, run_search, GenConfig, SearchConfig, Workload};
 use std::fmt::Write as _;
@@ -203,7 +204,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"experiment\": \"E20 fault search\", \"seed\": {seed}, \"smoke\": {smoke},"
+        "  \"experiment\": \"E20 fault search\", \"seed\": {seed},"
     );
     let _ = writeln!(
         json,
@@ -237,8 +238,7 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"corpus_replayed\": {replayed}");
     json.push_str("}\n");
-    std::fs::write("BENCH_search.json", json).expect("write BENCH_search.json");
-    println!("\nwrote BENCH_search.json");
+    write_record("BENCH_search.json", smoke, &json);
     println!(
         "\nexpected shape: phase A finds nothing (the platform digests the\n\
          whole sweep); each canary is caught and shrunk to a near-minimal\n\

@@ -14,6 +14,8 @@ use softborg_program::overlay::Overlay;
 use softborg_program::sched::RandomSched;
 use softborg_program::syscall::{DefaultEnv, EnvConfig};
 use softborg_program::{BranchSiteId, Program, ThreadId};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// Observer that captures the full decision path.
 #[derive(Default)]
@@ -117,6 +119,104 @@ pub fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Directory smoke-run records go to, so a `--smoke` run never
+/// overwrites a committed full-size record.
+pub const SMOKE_DIR: &str = "target/bench-smoke";
+
+/// Start of the provenance line [`write_record`] puts first in every
+/// record.
+const STAMP_PREFIX: &str = "  \"host_cpus\": ";
+
+/// Where the record `file` lives: the working directory (the repository
+/// root, where full-size records are committed) for a full run, or
+/// [`SMOKE_DIR`] for a smoke run.
+pub fn record_path(file: &str, smoke: bool) -> PathBuf {
+    if smoke {
+        Path::new(SMOKE_DIR).join(file)
+    } else {
+        PathBuf::from(file)
+    }
+}
+
+/// The checked-out commit (`-dirty` when tracked files differ from it),
+/// or `unknown` outside a git checkout.
+fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short=12", "HEAD"]) {
+        None => "unknown".to_string(),
+        Some(rev) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if changes.is_empty() => rev,
+            _ => format!("{rev}-dirty"),
+        },
+    }
+}
+
+/// Writes a benchmark record: `json` is one JSON object whose text starts
+/// with `"{\n"`. The record is stamped with a first line giving the
+/// host's CPU count, the git revision and the smoke flag (replacing any
+/// earlier stamp), and goes to [`record_path`]. Returns the path written.
+///
+/// # Panics
+///
+/// Panics if `json` does not start with `"{\n"` or the file cannot be
+/// written.
+pub fn write_record(file: &str, smoke: bool, json: &str) -> PathBuf {
+    let body = json
+        .strip_prefix("{\n")
+        .expect("a record is a JSON object starting with \"{\\n\"");
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut out = format!(
+        "{{\n{STAMP_PREFIX}{host_cpus}, \"git_rev\": \"{}\", \"smoke\": {smoke},\n",
+        git_rev()
+    );
+    for line in body.lines().filter(|l| !l.starts_with(STAMP_PREFIX)) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    let path = record_path(file, smoke);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("\nwrote {}", path.display());
+    path
+}
+
+/// Sets the top-level `key` section of the record `file` to `section`
+/// (a JSON value whose nested lines are indented by four spaces),
+/// keeping every other section the record holds, and rewrites it with
+/// [`write_record`].
+pub fn merge_record_section(file: &str, smoke: bool, key: &str, section: &str) -> PathBuf {
+    let existing = std::fs::read_to_string(record_path(file, smoke)).unwrap_or_default();
+    let mut body = existing
+        .trim_end()
+        .trim_end_matches('}')
+        .trim_end()
+        .to_string();
+    let marker = format!("\n  \"{key}\":");
+    if let Some(start) = body.find(&marker) {
+        let after = start + marker.len();
+        let end = body[after..]
+            .find("\n  \"")
+            .map_or(body.len(), |i| after + i);
+        body.replace_range(start..end, "");
+    }
+    let body = body.trim_end().trim_end_matches(',');
+    let json = if body.trim().is_empty() || body.trim() == "{" {
+        format!("{{\n  \"{key}\": {section}\n}}\n")
+    } else {
+        format!("{body},\n  \"{key}\": {section}\n}}\n")
+    };
+    write_record(file, smoke, &json)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +236,37 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(geo_mean(&[]), 0.0);
         assert_eq!(median(&mut []), 0.0);
+    }
+
+    #[test]
+    fn smoke_records_never_land_on_committed_ones() {
+        assert_eq!(
+            record_path("BENCH_x.json", false),
+            PathBuf::from("BENCH_x.json")
+        );
+        assert!(record_path("BENCH_x.json", true).starts_with(SMOKE_DIR));
+    }
+
+    #[test]
+    fn merging_replaces_one_section_and_keeps_the_rest() {
+        let file = format!("BENCH_merge_test_{}.json", std::process::id());
+        let path = record_path(&file, true);
+        let _ = std::fs::remove_file(&path);
+        merge_record_section(&file, true, "a", "{\n    \"v\": 1\n  }");
+        merge_record_section(&file, true, "b", "{\n    \"v\": 2\n  }");
+        merge_record_section(&file, true, "a", "{\n    \"v\": 3\n  }");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        // Tests run in the crate directory: drop the directories the
+        // record created there (no-op when other files remain).
+        let _ = std::fs::remove_dir(Path::new(SMOKE_DIR));
+        let _ = std::fs::remove_dir(Path::new(SMOKE_DIR).parent().unwrap());
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[1].starts_with(STAMP_PREFIX) && lines[1].contains("\"smoke\": true"));
+        assert_eq!(text.matches(STAMP_PREFIX).count(), 1, "{text}");
+        assert_eq!(
+            lines[2..].join("\n"),
+            "  \"b\": {\n    \"v\": 2\n  },\n  \"a\": {\n    \"v\": 3\n  }\n}"
+        );
     }
 }

@@ -91,16 +91,6 @@ impl fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
-fn subtree_nodes(tree: &ExecutionTree, root: NodeId) -> u64 {
-    let mut count = 0;
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        count += 1;
-        stack.extend(tree.with_node(id, children_of));
-    }
-    count
-}
-
 /// All explored children of a node, pulled out under one arena borrow
 /// (the tree may be paged, so node access is closure-scoped).
 fn children_of(n: &softborg_tree::Node) -> Vec<NodeId> {
@@ -117,30 +107,36 @@ fn children_of(n: &softborg_tree::Node) -> Vec<NodeId> {
 
 /// Scans the tree and assembles certificates for the *maximal* closed,
 /// failure-free subtrees (a closed parent subsumes its children).
+///
+/// Closure, failures and subtree sizes come from one
+/// [`ExecutionTree::sweep`], so the scan is linear in the tree size.
 pub fn assemble(tree: &ExecutionTree) -> Vec<ProofCertificate> {
     let digest = tree.digest();
+    let sweep = tree.sweep();
     let mut certs = Vec::new();
     let mut queue = vec![NodeId::ROOT];
     while let Some(id) = queue.pop() {
-        let clean = tree.subtree_failures(id) == 0;
-        let visits = tree.with_node(id, |n| n.visits);
-        if clean && tree.is_closed(id) && visits > 0 {
+        let (visits, children) = tree.with_node(id, |n| (n.visits, children_of(n)));
+        if sweep.subtree_failures(id) == 0 && sweep.is_closed(id) && visits > 0 {
             certs.push(ProofCertificate {
                 program: tree.program(),
                 prefix: tree.prefix(id),
                 property: PROPERTY_NO_FAILURE.to_string(),
-                nodes: subtree_nodes(tree, id),
+                nodes: sweep.subtree_size(id),
                 visits,
                 tree_digest: digest,
             });
             continue; // maximality: don't descend into a proven subtree
         }
-        queue.extend(tree.with_node(id, children_of));
+        queue.extend(children);
     }
     certs
 }
 
-/// Independently re-checks a certificate against the tree.
+/// Independently re-checks a certificate against the tree: it walks the
+/// certified subtree itself ([`ExecutionTree::is_closed`],
+/// [`ExecutionTree::subtree_failures`]) rather than reading the sweep
+/// that [`assemble`] used.
 ///
 /// # Errors
 ///

@@ -53,6 +53,14 @@ pub enum CodecError {
     Utf8,
     /// Expression nesting exceeded [`MAX_EXPR_DEPTH`].
     DepthExceeded,
+    /// A record's reference to another record breaks a structural
+    /// invariant (out of range, out of order, or not reciprocated).
+    BadLink {
+        /// What was being decoded.
+        what: &'static str,
+        /// Index of the offending record.
+        index: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -65,6 +73,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::Utf8 => write!(f, "string field is not valid UTF-8"),
             CodecError::DepthExceeded => write!(f, "expression nesting exceeds decoder limit"),
+            CodecError::BadLink { what, index } => {
+                write!(f, "inconsistent {what} in record {index}")
+            }
         }
     }
 }

@@ -4,7 +4,9 @@
 //! execution tree by merging naturally-occurring execution paths
 //! (lowest-common-ancestor splicing, Figure 3), coverage and completeness
 //! accounting, frontier enumeration for guidance, infeasibility marks from
-//! symbolic analysis, and replica merging for the distributed hive.
+//! symbolic analysis, and replica merging for the distributed hive. The
+//! whole-tree analyses (frontier, coverage, proof closure) read one
+//! linear [`ExecutionTree::sweep`] of the arena.
 
 #![warn(missing_docs)]
 
@@ -12,6 +14,7 @@ pub mod tree;
 
 pub use tree::{
     CoverageStats, DeltaError, ExecutionTree, FrontierArm, MergeStats, Node, NodeId, OutcomeTally,
+    TreeSweep,
 };
 
 #[cfg(test)]

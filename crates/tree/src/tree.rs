@@ -225,6 +225,44 @@ fn decode_node(r: &mut codec::Reader<'_>) -> Result<Node, CodecError> {
     })
 }
 
+/// Checks node `idx`'s links against the arena order every analysis
+/// relies on: a non-root node's parent has a lower index (the root has
+/// none), and every edge leads to a later, in-range node whose parent
+/// record points back along that edge, with no two edges sharing a
+/// label. `parent_of` reads the parent record of another node.
+fn check_links(
+    idx: usize,
+    n: &Node,
+    len: usize,
+    mut parent_of: impl FnMut(NodeId) -> Option<(NodeId, BranchSiteId, bool)>,
+) -> Result<(), CodecError> {
+    let bad = |what| CodecError::BadLink {
+        what,
+        index: idx as u64,
+    };
+    match n.parent {
+        None if idx != 0 => return Err(bad("Node.parent (missing)")),
+        Some((p, ..)) if p.index() >= idx => return Err(bad("Node.parent (not earlier)")),
+        _ => {}
+    }
+    for (k, e) in n.edges.iter().enumerate() {
+        let c = e.child.index();
+        if c <= idx || c >= len {
+            return Err(bad("Edge.child (not later, or out of range)"));
+        }
+        if n.edges[..k]
+            .iter()
+            .any(|f| f.site == e.site && f.taken == e.taken)
+        {
+            return Err(bad("Edge (duplicate arm)"));
+        }
+        if parent_of(e.child) != Some((NodeId(idx as u32), e.site, e.taken)) {
+            return Err(bad("Edge.child (parent does not point back)"));
+        }
+    }
+    Ok(())
+}
+
 impl PageItem for Node {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         encode_node_into(self, buf);
@@ -329,6 +367,60 @@ impl fmt::Display for DeltaError {
 }
 
 impl std::error::Error for DeltaError {}
+
+/// Per-node summaries of the whole tree, computed by one arena sweep
+/// ([`ExecutionTree::sweep`]): depth, closure, subtree failures and
+/// subtree size for every node, plus the frontier arms in arena order.
+///
+/// A sweep is a snapshot: it describes the tree as it was when the sweep
+/// ran and goes stale on the next mutation.
+#[derive(Debug, Clone)]
+pub struct TreeSweep {
+    depth: Vec<u32>,
+    closed: Vec<bool>,
+    failures: Vec<u64>,
+    size: Vec<u32>,
+    frontier: Vec<FrontierArm>,
+    sites_seen: u64,
+}
+
+impl TreeSweep {
+    /// Depth of `node` (the root is at depth 0).
+    pub fn depth(&self, node: NodeId) -> u64 {
+        u64::from(self.depth[node.index()])
+    }
+
+    /// Whether the subtree rooted at `node` is closed (see
+    /// [`ExecutionTree::is_closed`]).
+    pub fn is_closed(&self, node: NodeId) -> bool {
+        self.closed[node.index()]
+    }
+
+    /// Failure outcomes recorded anywhere in the subtree of `node`.
+    pub fn subtree_failures(&self, node: NodeId) -> u64 {
+        self.failures[node.index()]
+    }
+
+    /// Nodes in the subtree rooted at `node`, itself included.
+    pub fn subtree_size(&self, node: NodeId) -> u64 {
+        u64::from(self.size[node.index()])
+    }
+
+    /// Unexplored arms, ordered by node index, then site, then
+    /// direction (see [`ExecutionTree::frontier`]).
+    pub fn frontier(&self) -> &[FrontierArm] {
+        &self.frontier
+    }
+
+    /// Fraction of nodes inside closed subtrees.
+    pub fn closed_fraction(&self) -> f64 {
+        if self.closed.is_empty() {
+            return 0.0;
+        }
+        let closed = self.closed.iter().filter(|c| **c).count();
+        closed as f64 / self.closed.len() as f64
+    }
+}
 
 /// Per-node closure info extracted under a single store borrow (the
 /// paged arena hands out access through closures, so the traversals
@@ -570,37 +662,95 @@ impl ExecutionTree {
 
     /// Enumerates unexplored arms: nodes where one direction of an
     /// observed site has been taken but the other is neither explored nor
-    /// infeasible.
+    /// infeasible. Ordered by node index, then site, then direction.
     pub fn frontier(&self) -> Vec<FrontierArm> {
-        let mut out = Vec::new();
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i as u32);
-            let (missing, visits) = self.nodes.with(i, |n| {
-                let mut missing = Vec::new();
-                for site in n.sites() {
+        self.sweep().frontier
+    }
+
+    /// Summarizes every node in one pass over the arena: depth, closure,
+    /// subtree failures, subtree size and frontier arms.
+    ///
+    /// Each node is read once, under a single store borrow, and no heap
+    /// allocation is made per node. The pass relies on the arena order
+    /// that [`merge_path`](Self::merge_path), [`absorb`](Self::absorb),
+    /// [`decode`](Self::decode) and [`apply_delta`](Self::apply_delta)
+    /// all keep: a child's index is greater than its parent's. A reverse
+    /// sweep therefore sees every child before its parent, and a forward
+    /// sweep over the recorded parents then yields depths.
+    pub fn sweep(&self) -> TreeSweep {
+        const NO_PARENT: u32 = u32::MAX;
+        let len = self.nodes.len();
+        // Parent indices, rewritten into depths by the forward sweep.
+        let mut depth = vec![NO_PARENT; len];
+        let mut closed = vec![false; len];
+        let mut failures = vec![0u64; len];
+        let mut size = vec![0u32; len];
+        let mut frontier = Vec::new();
+        let mut sites: HashSet<BranchSiteId> = HashSet::new();
+        let mut node_sites: Vec<BranchSiteId> = Vec::new();
+        for i in (0..len).rev() {
+            self.nodes.with(i, |n| {
+                depth[i] = n.parent.map_or(NO_PARENT, |(p, ..)| p.0);
+                let mut fail = n.terminal.failures();
+                let mut sz = 1;
+                node_sites.clear();
+                for e in &n.edges {
+                    fail += failures[e.child.index()];
+                    sz += size[e.child.index()];
+                    sites.insert(e.site);
+                    node_sites.push(e.site);
+                }
+                failures[i] = fail;
+                size[i] = sz;
+                node_sites.sort_unstable();
+                node_sites.dedup();
+                // Interleaving-divergent nodes (multiple sites) cannot be
+                // declared closed: unseen schedules may surface yet more
+                // arms.
+                closed[i] = match node_sites.as_slice() {
+                    [] => n.is_terminal(),
+                    [site] => [false, true].into_iter().all(|taken| {
+                        n.is_infeasible(*site, taken)
+                            || n.child(*site, taken).is_some_and(|c| closed[c.index()])
+                    }),
+                    _ => false,
+                };
+                // Sites are visited last to first and the whole list is
+                // reversed below. An observed site has at most one
+                // missing arm, so the order within a site cannot vary.
+                for &site in node_sites.iter().rev() {
                     for taken in [false, true] {
                         if n.child(site, taken).is_none() && !n.is_infeasible(site, taken) {
-                            missing.push((site, taken));
+                            frontier.push(FrontierArm {
+                                node: NodeId(i as u32),
+                                site,
+                                missing_taken: taken,
+                                depth: 0,
+                                visits: n.visits,
+                            });
                         }
                     }
                 }
-                (missing, n.visits)
             });
-            if missing.is_empty() {
-                continue;
-            }
-            let depth = self.depth(id);
-            for (site, missing_taken) in missing {
-                out.push(FrontierArm {
-                    node: id,
-                    site,
-                    missing_taken,
-                    depth,
-                    visits,
-                });
-            }
         }
-        out
+        frontier.reverse();
+        for i in 0..len {
+            depth[i] = match depth[i] {
+                NO_PARENT => 0,
+                p => depth[p as usize] + 1,
+            };
+        }
+        for arm in &mut frontier {
+            arm.depth = u64::from(depth[arm.node.index()]);
+        }
+        TreeSweep {
+            depth,
+            closed,
+            failures,
+            size,
+            frontier,
+            sites_seen: sites.len() as u64,
+        }
     }
 
     /// What closure needs to know about one node, extracted under a
@@ -613,8 +763,6 @@ impl ExecutionTree {
                 };
             }
             let sites = n.sites();
-            // Interleaving-divergent nodes (multiple sites) cannot be
-            // declared closed: unseen schedules may surface yet more arms.
             if sites.len() != 1 {
                 return NodeClosure::Multi;
             }
@@ -639,89 +787,66 @@ impl ExecutionTree {
     /// site has both arms explored-and-closed or infeasible, and leaves
     /// are genuine terminals. A closed, failure-free subtree is provable
     /// (paper §3.3).
+    ///
+    /// This walks only the subtree of `node`, independently of
+    /// [`sweep`](Self::sweep), so proof verification does not share code
+    /// with proof assembly. The subtree is closed exactly when every node
+    /// reached through explored, feasible arms is closed locally, so the
+    /// walk stops at the first node that is not (iterative: hang traces
+    /// make paths tens of thousands of decisions deep).
     pub fn is_closed(&self, node: NodeId) -> bool {
-        let mut closed = vec![None::<bool>; self.nodes.len()];
-        self.closed_rec(node, &mut closed)
-    }
-
-    /// Iterative post-order closure computation (paths can be tens of
-    /// thousands of decisions deep — hang traces — so recursion would
-    /// overflow the stack).
-    fn closed_rec(&self, root: NodeId, memo: &mut [Option<bool>]) -> bool {
-        let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
-        while let Some((node, expanded)) = stack.pop() {
-            if memo[node.index()].is_some() {
-                continue;
-            }
-            match self.closure_info(node) {
-                NodeClosure::Leaf { terminal } => memo[node.index()] = Some(terminal),
-                NodeClosure::Multi => memo[node.index()] = Some(false),
-                NodeClosure::Single { arms } => {
-                    if !expanded {
-                        stack.push((node, true));
-                        for arm in &arms {
-                            if let ArmInfo::Child(c) = arm {
-                                stack.push((*c, false));
-                            }
-                        }
-                        continue;
+        let mut stack = vec![node];
+        while let Some(id) = stack.pop() {
+            match self.closure_info(id) {
+                NodeClosure::Leaf { terminal } => {
+                    if !terminal {
+                        return false;
                     }
-                    let closed = arms.iter().all(|arm| match arm {
-                        ArmInfo::Infeasible => true,
-                        ArmInfo::Missing => false,
-                        ArmInfo::Child(c) => memo[c.index()].unwrap_or(false),
-                    });
-                    memo[node.index()] = Some(closed);
+                }
+                NodeClosure::Multi => return false,
+                NodeClosure::Single { arms } => {
+                    for arm in arms {
+                        match arm {
+                            ArmInfo::Infeasible => {}
+                            ArmInfo::Missing => return false,
+                            ArmInfo::Child(c) => stack.push(c),
+                        }
+                    }
                 }
             }
         }
-        memo[root.index()].unwrap_or(false)
+        true
     }
 
     /// Fraction of nodes inside closed subtrees.
     pub fn closed_fraction(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let mut memo = vec![None::<bool>; self.nodes.len()];
-        let closed_nodes = (0..self.nodes.len())
-            .filter(|i| self.closed_rec(NodeId(*i as u32), &mut memo))
-            .count();
-        closed_nodes as f64 / self.nodes.len() as f64
+        self.sweep().closed_fraction()
     }
 
-    /// Sum of failure outcomes recorded anywhere in the subtree of `node`.
+    /// Sum of failure outcomes recorded anywhere in the subtree of `node`
+    /// (a walk of that subtree alone, like [`is_closed`](Self::is_closed)).
     pub fn subtree_failures(&self, node: NodeId) -> u64 {
         let mut sum = 0;
         let mut stack = vec![node];
         while let Some(id) = stack.pop() {
-            let (failures, children) = self.nodes.with(id.index(), |n| {
-                (
-                    n.terminal.failures(),
-                    n.edges.iter().map(|e| e.child).collect::<Vec<_>>(),
-                )
+            self.nodes.with(id.index(), |n| {
+                sum += n.terminal.failures();
+                stack.extend(n.edges.iter().map(|e| e.child));
             });
-            sum += failures;
-            stack.extend(children);
         }
         sum
     }
 
-    /// Coverage summary.
+    /// Coverage summary (one [`sweep`](Self::sweep)).
     pub fn coverage(&self) -> CoverageStats {
-        let mut sites: HashSet<BranchSiteId> = HashSet::new();
-        self.nodes.for_each(|_, n| {
-            for e in &n.edges {
-                sites.insert(e.site);
-            }
-        });
+        let sweep = self.sweep();
         CoverageStats {
             nodes: self.node_count(),
             distinct_paths: self.distinct_paths,
-            sites_seen: sites.len() as u64,
+            sites_seen: sweep.sites_seen,
             paths_merged: self.paths_merged,
-            frontier_arms: self.frontier().len() as u64,
-            closed_fraction: self.closed_fraction(),
+            frontier_arms: sweep.frontier.len() as u64,
+            closed_fraction: sweep.closed_fraction(),
         }
     }
 
@@ -841,13 +966,29 @@ impl ExecutionTree {
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncated or malformed input; never
-    /// panics.
+    /// panics. Node links are checked against the arena order the
+    /// analyses rely on ([`CodecError::BadLink`]): every non-root node's
+    /// parent has a lower index, and every edge leads to a later,
+    /// in-range node whose parent record points back along that edge.
     pub fn decode(r: &mut codec::Reader<'_>) -> Result<Self, CodecError> {
         let program = ProgramId(r.u64("Tree.program")?);
         let n_nodes = r.seq_len("Tree.nodes", 42)?;
-        let mut nodes = ItemStore::new_mem();
+        if n_nodes == 0 {
+            return Err(CodecError::BadLen {
+                what: "Tree.nodes (no root)",
+                len: 0,
+            });
+        }
+        let mut decoded = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
-            nodes.push(decode_node(r)?);
+            decoded.push(decode_node(r)?);
+        }
+        for (i, n) in decoded.iter().enumerate() {
+            check_links(i, n, n_nodes, |c| decoded[c.index()].parent)?;
+        }
+        let mut nodes = ItemStore::new_mem();
+        for n in decoded {
+            nodes.push(n);
         }
         let paths_merged = r.u64("Tree.paths_merged")?;
         let distinct_paths = r.u64("Tree.distinct_paths")?;
@@ -918,8 +1059,10 @@ impl ExecutionTree {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`DeltaError`] on malformed input, a program
-    /// mismatch, or a base mismatch; the tree is left unchanged only on
+    /// Returns a typed [`DeltaError`] on malformed input (including a
+    /// patched or appended node whose links break the arena order, see
+    /// [`decode`](Self::decode)), a program mismatch, or a base mismatch;
+    /// the tree is left unchanged only on
     /// the pre-checks (program/base) — a codec error mid-apply leaves it
     /// partially patched, so callers discard the tree on error.
     pub fn apply_delta(&mut self, r: &mut codec::Reader<'_>) -> Result<(), DeltaError> {
@@ -945,6 +1088,7 @@ impl ExecutionTree {
             }));
         }
         let n_dirty = r.seq_len("TreeDelta.dirty", 46)?;
+        let mut touched = Vec::with_capacity(n_dirty);
         for _ in 0..n_dirty {
             let idx = r.u32("TreeDelta.dirty.index")?;
             if idx >= from_len {
@@ -954,10 +1098,26 @@ impl ExecutionTree {
                 }));
             }
             let node = decode_node(r)?;
+            // Merges only grow a node, so its parent record never changes
+            // (otherwise the old parent's edge would no longer be
+            // reciprocated).
+            if self.nodes.with(idx as usize, |n| n.parent) != node.parent {
+                return Err(DeltaError::Codec(CodecError::BadLink {
+                    what: "TreeDelta.dirty.parent (changed)",
+                    index: u64::from(idx),
+                }));
+            }
             self.nodes.with_mut(idx as usize, |n| *n = node);
+            touched.push(idx as usize);
         }
-        for _ in from_len..to_len {
+        for i in from_len..to_len {
             self.nodes.push(decode_node(r)?);
+            touched.push(i as usize);
+        }
+        let len = self.nodes.len();
+        for &i in &touched {
+            let node = self.nodes.get_cloned(i);
+            check_links(i, &node, len, |c| self.nodes.with(c.index(), |n| n.parent))?;
         }
         self.paths_merged = r.u64("TreeDelta.paths_merged")?;
         self.distinct_paths = r.u64("TreeDelta.distinct_paths")?;
@@ -1381,6 +1541,203 @@ mod tests {
                 .apply_delta(&mut codec::Reader::new(&delta[..cut]))
                 .is_err());
         }
+    }
+
+    fn node(parent: Option<(u32, u32, bool)>, edges: &[(u32, bool, u32)]) -> Node {
+        let mut n = Node::new(parent.map(|(p, site, taken)| (NodeId(p), s(site), taken)));
+        n.edges = edges
+            .iter()
+            .map(|&(site, taken, child)| EdgeRec {
+                site: s(site),
+                taken,
+                child: NodeId(child),
+            })
+            .collect();
+        n.terminal.success = u64::from(edges.is_empty());
+        n
+    }
+
+    /// A full snapshot of program 1 holding exactly `nodes`.
+    fn snapshot_of(nodes: &[Node]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_u64(&mut buf, 1);
+        codec::put_u32(&mut buf, nodes.len() as u32);
+        for n in nodes {
+            encode_node_into(n, &mut buf);
+        }
+        codec::put_u64(&mut buf, 0);
+        codec::put_u64(&mut buf, 0);
+        codec::put_u32(&mut buf, 0);
+        buf
+    }
+
+    /// Root with arms (0,false) -> 1 and (0,true) -> 2.
+    fn fork() -> Vec<Node> {
+        vec![
+            node(None, &[(0, false, 1), (0, true, 2)]),
+            node(Some((0, 0, false)), &[]),
+            node(Some((0, 0, true)), &[]),
+        ]
+    }
+
+    fn decode_link_error(nodes: &[Node]) -> Option<CodecError> {
+        ExecutionTree::decode(&mut codec::Reader::new(&snapshot_of(nodes))).err()
+    }
+
+    #[test]
+    fn decode_accepts_a_hand_built_well_linked_snapshot() {
+        let t = ExecutionTree::decode(&mut codec::Reader::new(&snapshot_of(&fork()))).unwrap();
+        assert_eq!(t.node_count(), 3);
+        assert!(t.is_closed(NodeId::ROOT));
+    }
+
+    #[test]
+    fn decode_rejects_records_that_break_the_arena_order() {
+        let mut cases: Vec<(&str, Vec<Node>)> = Vec::new();
+        let mut n = fork();
+        n[2].parent = Some((NodeId(2), s(0), true));
+        cases.push(("parent is the node itself", n));
+        let mut n = fork();
+        n[1].parent = Some((NodeId(2), s(0), false));
+        cases.push(("parent after the node", n));
+        let mut n = fork();
+        n[2].parent = None;
+        cases.push(("second root", n));
+        let mut n = fork();
+        n[0].parent = Some((NodeId(0), s(0), true));
+        cases.push(("root with a parent", n));
+        let mut n = fork();
+        n[0].edges[1].child = NodeId(7);
+        cases.push(("edge child out of range", n));
+        let mut n = fork();
+        n[2].edges.push(EdgeRec {
+            site: s(1),
+            taken: true,
+            child: NodeId(1),
+        });
+        cases.push(("edge child before the node", n));
+        let mut n = fork();
+        n[1].edges.push(EdgeRec {
+            site: s(1),
+            taken: true,
+            child: NodeId(1),
+        });
+        cases.push(("edge to the node itself", n));
+        let mut n = fork();
+        n[2].parent = Some((NodeId(0), s(0), false));
+        cases.push(("child's parent names another arm", n));
+        let mut n = fork();
+        n[0].edges[0].site = s(5);
+        cases.push(("edge site differs from the child's record", n));
+        let mut n = vec![
+            node(None, &[(0, true, 1)]),
+            node(Some((0, 0, true)), &[(1, true, 2)]),
+        ];
+        n.push(node(Some((0, 1, true)), &[]));
+        cases.push(("grandchild points at the root", n));
+        let mut n = fork();
+        n[0].edges[1] = EdgeRec {
+            site: s(0),
+            taken: false,
+            child: NodeId(1),
+        };
+        cases.push(("duplicate arm", n));
+        for (what, nodes) in cases {
+            assert!(
+                matches!(decode_link_error(&nodes), Some(CodecError::BadLink { .. })),
+                "{what}: {:?}",
+                decode_link_error(&nodes)
+            );
+        }
+        assert!(matches!(
+            decode_link_error(&[]),
+            Some(CodecError::BadLen { .. })
+        ));
+    }
+
+    /// A delta against a clean `base`: `dirty` replaces nodes by index,
+    /// `appended` extends the arena.
+    fn delta_of(base: &ExecutionTree, dirty: &[(u32, Node)], appended: &[Node]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_u64(&mut buf, base.program().0);
+        codec::put_u32(&mut buf, base.node_count() as u32);
+        codec::put_u32(
+            &mut buf,
+            (base.node_count() as usize + appended.len()) as u32,
+        );
+        codec::put_u32(&mut buf, dirty.len() as u32);
+        for (i, n) in dirty {
+            codec::put_u32(&mut buf, *i);
+            encode_node_into(n, &mut buf);
+        }
+        for n in appended {
+            encode_node_into(n, &mut buf);
+        }
+        codec::put_u64(&mut buf, base.paths_merged());
+        codec::put_u64(&mut buf, base.distinct_paths());
+        codec::put_u32(&mut buf, 0);
+        buf
+    }
+
+    #[test]
+    fn apply_delta_rejects_records_that_break_the_arena_order() {
+        let base = || {
+            let mut t =
+                ExecutionTree::decode(&mut codec::Reader::new(&snapshot_of(&fork()))).unwrap();
+            t.mark_clean();
+            t
+        };
+        let apply = |dirty: &[(u32, Node)], appended: &[Node]| {
+            let mut t = base();
+            t.apply_delta(&mut codec::Reader::new(&delta_of(&t, dirty, appended)))
+        };
+        // Well linked: node 1 grows a child, appended as node 3.
+        apply(
+            &[(1, node(Some((0, 0, false)), &[(4, true, 3)]))],
+            &[node(Some((1, 4, true)), &[])],
+        )
+        .expect("a well-linked delta applies");
+
+        let link_err = |r: Result<(), DeltaError>| {
+            matches!(r, Err(DeltaError::Codec(CodecError::BadLink { .. })))
+        };
+        assert!(
+            link_err(apply(&[], &[node(Some((3, 0, true)), &[])])),
+            "parent is itself"
+        );
+        assert!(link_err(apply(&[], &[node(None, &[])])), "second root");
+        assert!(
+            link_err(apply(
+                &[(1, node(Some((0, 0, false)), &[(4, true, 9)]))],
+                &[]
+            )),
+            "edge child out of range"
+        );
+        assert!(
+            link_err(apply(
+                &[(2, node(Some((0, 0, true)), &[(4, true, 1)]))],
+                &[]
+            )),
+            "edge child before the node"
+        );
+        assert!(
+            link_err(apply(
+                &[(1, node(Some((0, 0, false)), &[(4, true, 3)]))],
+                &[node(Some((2, 4, true)), &[])]
+            )),
+            "appended child points at another parent"
+        );
+        assert!(
+            link_err(apply(&[(2, node(Some((1, 0, true)), &[]))], &[])),
+            "dirty node changes its parent"
+        );
+        assert!(
+            link_err(apply(
+                &[(0, node(None, &[(0, false, 1), (0, true, 2), (0, true, 3)]))],
+                &[node(Some((0, 0, true)), &[])]
+            )),
+            "duplicate arm"
+        );
     }
 
     #[test]

@@ -217,3 +217,46 @@ fn guided_platform_dominates_natural_on_frontier_shrinkage() {
         "guidance must not leave a larger frontier: {guided} vs {natural}"
     );
 }
+
+/// A 50k-decision path with an open arm at every level — the shape a
+/// hang trace leaves in the tree. The whole-tree analyses (frontier,
+/// coverage, proofs, trigger ranking) must stay linear in the tree: the
+/// per-node walks they replaced took minutes on this tree in a debug
+/// build, so a quadratic regression shows up as test time.
+#[test]
+fn deep_path_analyses_stay_linear() {
+    use softborg_program::interp::Outcome;
+    use softborg_program::{BranchSiteId, ProgramId};
+    use softborg_tree::ExecutionTree;
+
+    const DEPTH: usize = 50_000;
+    let mut tree = ExecutionTree::new(ProgramId(1));
+    let mut path: Vec<_> = (0..DEPTH as u32)
+        .map(|i| (BranchSiteId::new(i), true))
+        .collect();
+    tree.merge_path(&path, &Outcome::Success);
+
+    let frontier = tree.frontier();
+    assert_eq!(frontier.len(), DEPTH);
+    for (depth, arm) in frontier.iter().enumerate() {
+        assert_eq!((arm.depth, arm.missing_taken), (depth as u64, false));
+    }
+    let coverage = tree.coverage();
+    assert_eq!(coverage.frontier_arms, DEPTH as u64);
+    // Only the leaf is closed.
+    assert_eq!(coverage.closed_fraction, 1.0 / (DEPTH + 1) as f64);
+    let certs = assemble(&tree);
+    assert_eq!(certs.len(), 1, "only the leaf is provable");
+    assert_eq!((certs[0].prefix.len(), certs[0].nodes), (DEPTH, 1));
+    verify(&certs[0], &tree).expect("leaf certificate verifies");
+
+    // A hang on the last level's other arm: the trigger ranking finds it
+    // at the bottom of the path.
+    *path.last_mut().unwrap() = (BranchSiteId::new(DEPTH as u32 - 1), false);
+    tree.merge_path(&path, &Outcome::Hang { stuck: vec![] });
+    let arms = softborg_analysis::suspicious_arms(&tree, 1);
+    assert_eq!(arms[0].site, BranchSiteId::new(DEPTH as u32 - 1));
+    assert!(!arms[0].taken);
+    assert_eq!(tree.coverage().frontier_arms, DEPTH as u64 - 1);
+    assert_eq!(assemble(&tree).len(), 1);
+}
