@@ -1,14 +1,16 @@
 //! E16 — crash-only durability of the hive platform: run a long durable
 //! campaign, kill the process at **every** round boundary and at
 //! arbitrary on-disk crash points (torn journal tails, flipped bits,
-//! torn snapshots, the rename/truncate window), and verify that every
-//! recovery lands on hive state **byte-identical** to the uninterrupted
-//! run at the recovered round — while snapshot compaction keeps the
-//! journal bounded by `compact_ratio × live state`.
+//! rotten checkpoint-chain records, the append/truncate window), and
+//! verify that every recovery lands on hive state **byte-identical** to
+//! the uninterrupted run at the recovered round — while chain
+//! checkpoints keep the journal bounded by `compact_ratio × chain
+//! footprint` (newest full record plus the deltas since).
 //!
 //! Writes `BENCH_durability.json` into the current directory.
 //! `--seed N` reseeds the platform campaign (default 29).
 
+use softborg::store::ChainStore;
 use softborg::{DurabilityConfig, Platform, PlatformConfig};
 use softborg_bench::{arg_seed, banner, cell, table_header, write_record};
 use softborg_netsim::{DiskCrashPoint, FaultPlan, SectorCorruption};
@@ -39,15 +41,43 @@ fn config(s: &Scenario, dir: PathBuf, seed: u64) -> PlatformConfig {
     }
 }
 
-/// Clones a campaign directory: the on-disk state a kill at this moment
-/// would leave behind.
+/// Clones a campaign directory, `chain/` included: the on-disk state a
+/// kill at this moment would leave behind.
 fn copy_campaign(from: &Path, to: &Path) {
     let _ = std::fs::remove_dir_all(to);
+    copy_tree(from, to);
+}
+
+fn copy_tree(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).expect("mkdir");
     for entry in std::fs::read_dir(from).expect("read campaign dir") {
         let e = entry.expect("dir entry");
-        std::fs::copy(e.path(), to.join(e.file_name())).expect("copy campaign file");
+        if e.file_type().expect("file type").is_dir() {
+            copy_tree(&e.path(), &to.join(e.file_name()));
+        } else {
+            std::fs::copy(e.path(), to.join(e.file_name())).expect("copy campaign file");
+        }
     }
+}
+
+/// Payload bytes the chain's checkpoint trigger compares the journal
+/// against: the newest full record plus every delta since.
+fn chain_footprint(dir: &Path) -> u64 {
+    let chain = ChainStore::open(&dir.join("chain")).expect("open chain");
+    chain.last_full_payload_bytes() + chain.delta_payload_bytes_since_full()
+}
+
+/// The chain record `back` records before the head (wrapped), if any.
+fn chain_record(dir: &Path, back: u64) -> Option<PathBuf> {
+    let mut records: Vec<PathBuf> = std::fs::read_dir(dir.join("chain"))
+        .ok()?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "full" || x == "delta"))
+        .collect();
+    records.sort();
+    let n = records.len();
+    (n > 0).then(|| records.swap_remove(n - 1 - back as usize % n))
 }
 
 fn flip_bit(path: &Path, byte: usize) {
@@ -98,9 +128,9 @@ fn main() {
         "setup: {PODS} pods x {EXECS} execs/round, {ROUNDS}-round durable campaign, WAL + fsync"
     );
     println!(
-        "per round, snapshot compaction at {COMPACT_RATIO}x live state (min {MIN_COMPACT_BYTES} B),"
+        "per round, a chain checkpoint at {COMPACT_RATIO}x the chain footprint (min {MIN_COMPACT_BYTES} B),"
     );
-    println!("checksummed snapshots with atomic swap and generation fallback.\n");
+    println!("checksummed full/delta records with lineage fallback.\n");
 
     let s = scenarios::token_parser();
     let base = std::env::temp_dir().join(format!("softborg-e16-{}", std::process::id()));
@@ -120,7 +150,7 @@ fn main() {
     for k in 1..=ROUNDS {
         reference.round(EXECS);
         let wal = reference.wal_len().expect("durable");
-        let state = reference.hive_state();
+        let footprint = chain_footprint(&ref_dir);
         // Since pod state rides in every round commit, the journal can
         // cross the compaction threshold within a single round; count
         // compactions from the commit telemetry, not from observed
@@ -132,18 +162,18 @@ fn main() {
         {
             compactions += 1;
         }
-        let ratio = wal as f64 / state.len() as f64;
+        let ratio = wal as f64 / footprint.max(1) as f64;
         max_ratio = max_ratio.max(ratio);
-        // The compaction contract: a post-round journal either just
-        // compacted (empty) or sits below the trigger threshold.
-        if wal >= MIN_COMPACT_BYTES.max(COMPACT_RATIO * state.len() as u64) {
+        // The checkpoint contract: a post-round journal either just
+        // checkpointed (empty) or sits below the trigger threshold.
+        if wal >= MIN_COMPACT_BYTES.max(COMPACT_RATIO * footprint) {
             wal_bounded = false;
         }
-        states.push(state);
+        states.push(reference.hive_state());
         copy_campaign(&ref_dir, &base.join(format!("boundary-{k}")));
     }
-    // Compaction stall percentiles: the wall-clock pause each snapshot
-    // generation cost the committing round.
+    // Checkpoint stall percentiles: the wall-clock pause each chain
+    // record cost the committing round.
     let mut stalls_ns: Vec<u64> = reference
         .round_telemetry()
         .iter()
@@ -169,7 +199,7 @@ fn main() {
             .sum::<u64>()
     );
     println!(
-        "{compactions} compactions, max journal/state ratio {max_ratio:.2} (bound {}) — {}",
+        "{compactions} checkpoints, max journal/footprint ratio {max_ratio:.2} (bound {}) — {}",
         COMPACT_RATIO,
         if wal_bounded && compactions > 0 {
             "journal BOUNDED"
@@ -177,7 +207,7 @@ fn main() {
             "journal UNBOUNDED"
         }
     );
-    println!("compaction stall per generation: p50 {stall_p50_us:.1}us, p99 {stall_p99_us:.1}us\n");
+    println!("checkpoint stall per record: p50 {stall_p50_us:.1}us, p99 {stall_p99_us:.1}us\n");
 
     // ── Phase 2: kill + restart at every round boundary ──────────────
     let mut boundary_identical = 0u64;
@@ -209,19 +239,21 @@ fn main() {
         rng ^= rng << 17;
         rng
     };
+    // Checkpoint rot: torn head records (header sector, a later
+    // sector), a zeroed head sector, a flipped header bit, and flipped
+    // bits in records up to two behind the head.
+    let head = |sector: u64, kind: SectorCorruption| DiskCrashPoint::CorruptChainRecord {
+        back: 0,
+        sector,
+        kind,
+    };
     let mut plan = FaultPlan {
         disk: vec![
-            DiskCrashPoint::TornSnapshot {
-                keep_per_mille: 250,
-            },
-            DiskCrashPoint::TornSnapshot {
-                keep_per_mille: 700,
-            },
-            DiskCrashPoint::TornSnapshot {
-                keep_per_mille: 999,
-            },
+            head(0, SectorCorruption::TornWrite { keep_bytes: 17 }),
+            head(3, SectorCorruption::TornWrite { keep_bytes: 200 }),
+            head(5, SectorCorruption::ZeroRange { sectors: 1 }),
             DiskCrashPoint::BetweenRenameAndTruncate,
-            DiskCrashPoint::FlipSnapshotBit { offset: 8 },
+            head(0, SectorCorruption::FlipBit { bit: 64 }),
         ],
         ..FaultPlan::default()
     };
@@ -232,8 +264,11 @@ fn main() {
         plan.disk.push(DiskCrashPoint::FlipWalBit {
             back_offset: next() % 4096,
         });
-        plan.disk
-            .push(DiskCrashPoint::FlipSnapshotBit { offset: next() });
+        plan.disk.push(DiskCrashPoint::CorruptChainRecord {
+            back: next() % 3,
+            sector: next(),
+            kind: SectorCorruption::FlipBit { bit: next() as u32 },
+        });
         plan.disk.push(DiskCrashPoint::AtRoundBoundary {
             round: 1 + next() % ROUNDS,
         });
@@ -252,14 +287,13 @@ fn main() {
     let mut rows: Vec<CrashRow> = Vec::new();
     for (i, point) in plan.disk.iter().enumerate() {
         // Spread the injections across the campaign, later boundaries
-        // first so snapshot cases hit multi-generation stores.
+        // first so chain cases hit multi-lineage chains.
         let boundary = match point {
             DiskCrashPoint::AtRoundBoundary { round } => *round,
             _ => ROUNDS - (i as u64 * 7) % ROUNDS,
         };
         copy_campaign(&base.join(format!("boundary-{boundary}")), &scratch);
         let wal = scratch.join("hive.wal");
-        let snap = scratch.join("hive.snap");
         match *point {
             DiskCrashPoint::AtRoundBoundary { .. } => {}
             DiskCrashPoint::TruncateWalTail { drop_bytes } => {
@@ -272,27 +306,19 @@ fn main() {
                     flip_bit(&wal, (len.saturating_sub(1 + back_offset % len)) as usize);
                 }
             }
-            DiskCrashPoint::TornSnapshot { keep_per_mille } => {
-                if let Ok(m) = std::fs::metadata(&snap) {
-                    truncate_file(&snap, m.len() * u64::from(keep_per_mille) / 1000);
-                }
-            }
-            DiskCrashPoint::FlipSnapshotBit { offset } => {
-                if snap.exists() {
-                    flip_bit(&snap, offset as usize);
-                }
-            }
             DiskCrashPoint::CorruptWal { sector, kind } => corrupt_sector(&wal, sector, kind),
-            DiskCrashPoint::CorruptSnapshot { sector, kind } => {
-                corrupt_sector(&snap, sector, kind);
+            DiskCrashPoint::CorruptChainRecord { back, sector, kind } => {
+                if let Some(record) = chain_record(&scratch, back) {
+                    corrupt_sector(&record, sector, kind);
+                }
             }
-            DiskCrashPoint::CorruptChainRecord { .. } | DiskCrashPoint::CorruptPage { .. } => {
-                // This campaign runs the classic full-snapshot store;
-                // chain/page targets are exercised by e22.
+            DiskCrashPoint::CorruptPage { .. } => {
+                // This campaign keeps its tree in memory; page targets
+                // are exercised by e22 and the durable fault search.
             }
             DiskCrashPoint::BetweenRenameAndTruncate => {
-                // Reproduce the exact window: resume, write the new
-                // snapshot generation, die before the journal truncate.
+                // Reproduce the exact window: resume, append a new chain
+                // record, die before the journal truncate.
                 let (mut p, _) = Platform::resume(&s.program, config(&s, scratch.clone(), seed))
                     .expect("resume for checkpoint");
                 p.checkpoint_interrupted().expect("interrupted checkpoint");
@@ -305,7 +331,7 @@ fn main() {
         // recovery lands on a state some uninterrupted run actually had.
         let mut identical = resumed.hive_state() == states[r as usize];
         match *point {
-            // Clean boundary kills and the rename/truncate window lose
+            // Clean boundary kills and the append/truncate window lose
             // nothing: recovery must reach the kill round exactly.
             DiskCrashPoint::AtRoundBoundary { .. } | DiskCrashPoint::BetweenRenameAndTruncate => {
                 identical &= r == boundary;
@@ -341,11 +367,12 @@ fn main() {
         "disk crash point — recovers byte-identical state, journal stays bounded — {}",
         if all_ok { "PASS" } else { "FAIL" }
     );
-    println!("\nexpected shape: boundary kills replay the journal suffix exactly; torn");
-    println!("or bit-flipped snapshots fall back a generation and discard the now-");
-    println!("disconnected journal suffix; torn journal tails are dropped at the last");
-    println!("intact record; the rename/truncate window never double-applies. The");
-    println!("campaign itself never loses a committed round to compaction.");
+    println!("\nexpected shape: boundary kills replay the journal suffix exactly; a torn");
+    println!("or bit-flipped chain record ends its lineage there (or falls back to the");
+    println!("previous full's), and the now-disconnected journal suffix is discarded;");
+    println!("torn journal tails are dropped at the last intact record; the");
+    println!("append/truncate window never double-applies. The campaign itself never");
+    println!("loses a committed round to a checkpoint.");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -357,7 +384,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"compaction\": {{\"ratio\": {COMPACT_RATIO}, \"min_wal_bytes\": {MIN_COMPACT_BYTES}, \"compactions\": {compactions}, \"max_wal_state_ratio\": {max_ratio:.3}, \"bounded\": {wal_bounded}, \"stall_p50_us\": {stall_p50_us:.1}, \"stall_p99_us\": {stall_p99_us:.1}}},"
+        "  \"compaction\": {{\"ratio\": {COMPACT_RATIO}, \"min_wal_bytes\": {MIN_COMPACT_BYTES}, \"compactions\": {compactions}, \"max_wal_footprint_ratio\": {max_ratio:.3}, \"bounded\": {wal_bounded}, \"stall_p50_us\": {stall_p50_us:.1}, \"stall_p99_us\": {stall_p99_us:.1}}},"
     );
     let _ = writeln!(
         json,

@@ -2,7 +2,7 @@
 //! repro): turn the fault searcher loose on the *recovery* path of the
 //! sharded multi-program fleet. Where E16 replays a hand-written kill
 //! matrix, E21 sweeps generated disk-fault plans — round-boundary
-//! kills, journal/snapshot sector rot — through kill → corrupt → scrub
+//! kills, journal/chain-record sector rot — through kill → corrupt → scrub
 //! → resume cycles and judges every cycle with the durable oracles:
 //! scrub soundness (rot that changed stored bytes must be flagged) and
 //! resume equivalence (a resumed fleet must match the uninterrupted
@@ -14,8 +14,8 @@
 //!   disk-fault sweep with **zero** divergences: every kill resumes
 //!   process-equivalent, every applied corruption is flagged.
 //! * **B — scrub sweep.** Each corruption kind (bit flip, zeroed
-//!   range, torn write) against each target (journal, snapshot) is
-//!   injected explicitly; zero silent acceptances allowed.
+//!   range, torn write) against each target (journal, chain head
+//!   record) is injected explicitly; zero silent acceptances allowed.
 //! * **C — canary detection.** Each harness canary — a journal with
 //!   its pod-state records stripped, a skipped scrub pass — must be
 //!   found, shrunk to a minimal plan, and pinned in the corpus.
@@ -68,7 +68,7 @@ fn main() {
     );
     println!(
         "campaign: 3 fleets x 3 pods over 2 shards, 4 committed rounds\n\
-         fault space: round-boundary kills, journal/snapshot sector corruption\n\
+         fault space: round-boundary kills, journal/chain-record sector corruption\n\
          seed {seed} · clean budget {clean_budget} · per-canary budget {canary_budget}\n\
          corpus: {}\n",
         corpus_root.display()
@@ -108,9 +108,9 @@ fn main() {
     let mut scrub_rows = Vec::new();
     let mut applied_total = 0u64;
     for (kname, kind) in kinds {
-        for (tname, wal) in [("wal", true), ("snap", false)] {
-            // Snapshot targets want compaction on (so a snapshot
-            // exists); journal targets want it off (so the journal is
+        for (tname, wal) in [("wal", true), ("chain", false)] {
+            // Chain targets want checkpoints on (so a chain record
+            // exists); journal targets want them off (so the journal is
             // never truncated away underneath the corruption).
             let workload = DurableWorkload {
                 compact_ratio: if wal { 0 } else { 2 },
@@ -119,7 +119,11 @@ fn main() {
             let point = if wal {
                 DiskCrashPoint::CorruptWal { sector: 1, kind }
             } else {
-                DiskCrashPoint::CorruptSnapshot { sector: 0, kind }
+                DiskCrashPoint::CorruptChainRecord {
+                    back: 0,
+                    sector: 0,
+                    kind,
+                }
             };
             let plan = FaultPlan {
                 disk: vec![DiskCrashPoint::AtRoundBoundary { round: 3 }, point],

@@ -2,12 +2,14 @@
 //! storage, judged on the two claims the softborg-store subsystem
 //! makes.
 //!
-//! * **Chains cut the compaction stall from O(hive) to O(changes).**
-//!   The same campaign runs twice under an every-round checkpoint
-//!   policy — classic two-generation snapshots vs delta chains — and
-//!   the steady-state checkpoint **bytes** (the deterministic stall
-//!   proxy `RoundTelemetry::checkpoint_bytes`) must drop ≥5×. Wall
-//!   stall percentiles are reported alongside, informationally.
+//! * **Chains cut the checkpoint stall from O(hive) to O(changes).**
+//!   A campaign checkpoints after every round; the steady-state bytes
+//!   it writes (the deterministic stall proxy
+//!   `RoundTelemetry::checkpoint_bytes`, mostly delta records) must be
+//!   ≥5× smaller than the full record each of those checkpoints would
+//!   have written instead — the chain head's own payload with the whole
+//!   hive state in place of its delta. Wall stall percentiles are
+//!   reported alongside, informationally.
 //! * **Paging bounds residency while the tree grows.** A paged
 //!   campaign's execution tree keeps growing on disk while the
 //!   resident page count stays pinned under the configured budget —
@@ -20,12 +22,14 @@
 //! for CI and lowers the ratio bar to 2× (a short campaign's hive
 //! never outgrows the delta floor); `--seed N` reseeds it (default 37).
 
+use softborg::hive::HiveSnapshot;
+use softborg::store::chain::decode_record;
 use softborg::store::PagedConfig;
 use softborg::{DurabilityConfig, Platform, PlatformConfig};
 use softborg_bench::{arg_u64, banner, cell, merge_record_section, table_header};
 use softborg_program::scenarios::{self, Scenario};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const PODS: u32 = 8;
@@ -46,14 +50,12 @@ fn config(s: &Scenario, seed: u64, durability: Option<DurabilityConfig>) -> Plat
     }
 }
 
-/// Durability with auto-compaction off: the bench drives one explicit
-/// [`Platform::checkpoint`] after every round, so both stores pay a
-/// per-generation pause on the same schedule and their checkpoint
-/// bytes are directly comparable.
-fn every_round(dir: PathBuf, chain: bool) -> DurabilityConfig {
+/// Durability with automatic checkpoints off: the bench drives one
+/// explicit [`Platform::checkpoint`] after every round.
+fn every_round(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
         compact_ratio: 0,
-        chain: chain.then(|| softborg::ChainSettings {
+        chain: Some(softborg::ChainSettings {
             // Under an every-round schedule the periodic rebase is the
             // only O(hive) write left; a higher ratio keeps rebases
             // rare enough to amortize while the chain stays short
@@ -63,6 +65,29 @@ fn every_round(dir: PathBuf, chain: bool) -> DurabilityConfig {
         }),
         ..DurabilityConfig::new(dir)
     }
+}
+
+/// Payload bytes of the full record the checkpoint just appended to
+/// `chain_dir` would have taken: the head record's own payload (session
+/// floors, journal coverage, pod images, history) with `full_state` in
+/// place of whatever state it carries.
+fn full_record_bytes(chain_dir: &Path, full_state: Vec<u8>) -> u64 {
+    let head = std::fs::read_dir(chain_dir)
+        .expect("read chain dir")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "full" || x == "delta"))
+        .max()
+        .expect("a checkpoint was appended");
+    let bytes = std::fs::read(&head).expect("read chain head");
+    let record = decode_record(&bytes).expect("chain head validates");
+    let snap = HiveSnapshot::decode(record.payload).expect("chain head payload decodes");
+    HiveSnapshot {
+        state: full_state,
+        ..snap
+    }
+    .encode()
+    .len() as u64
 }
 
 /// Mean checkpoint bytes plus p50/p99 pause (us) over the campaign's
@@ -103,88 +128,72 @@ fn main() {
     let base = std::env::temp_dir().join(format!("softborg-e22-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    // ── Phase 1: classic vs chained checkpoint cost ──────────────────
-    let mut classic = Platform::new(
-        &s.program,
-        config(&s, seed, Some(every_round(base.join("classic"), false))),
-    );
+    // ── Phase 1: delta vs full checkpoint cost ───────────────────────
+    let chain_root = base.join("chained");
     let mut chained = Platform::new(
         &s.program,
-        config(&s, seed, Some(every_round(base.join("chained"), true))),
+        config(&s, seed, Some(every_round(chain_root.clone()))),
     );
-    let mut classic_gens: Vec<(u64, u64)> = Vec::new();
+    let mut full_sizes: Vec<u64> = Vec::new();
     let mut chain_gens: Vec<(u64, u64)> = Vec::new();
     for _ in 0..rounds {
-        classic.round(EXECS);
         chained.round(EXECS);
-        let t = Instant::now();
-        let b = classic.checkpoint().expect("classic checkpoint");
-        classic_gens.push((b, t.elapsed().as_nanos() as u64));
         let t = Instant::now();
         let b = chained.checkpoint().expect("chained checkpoint");
         chain_gens.push((b, t.elapsed().as_nanos() as u64));
+        full_sizes.push(full_record_bytes(
+            &chain_root.join("chain"),
+            chained.hive_state(),
+        ));
     }
-    assert_eq!(
-        classic.hive_state(),
-        chained.hive_state(),
-        "chain mode changed computed state"
-    );
-    let (classic_bytes, classic_p50, classic_p99) = steady_stats(&classic_gens);
+    let steady_full = &full_sizes[full_sizes.len() / 2..];
+    let full_bytes = steady_full.iter().sum::<u64>() as f64 / steady_full.len().max(1) as f64;
     let (chain_bytes, chain_p50, chain_p99) = steady_stats(&chain_gens);
-    let ratio = classic_bytes / chain_bytes.max(1.0);
+    let ratio = full_bytes / chain_bytes.max(1.0);
     // A delta checkpoint has a floor (one round's churn + pod images);
-    // the gap over classic widens as the hive grows past it. The smoke
-    // campaign is too short to clear 5x, so it gets a reduced bar.
+    // the gap to a full record widens as the hive grows past it. The
+    // smoke campaign is too short to clear 5x, so it gets a reduced bar.
     let ratio_bar = if smoke { 2.0 } else { 5.0 };
 
     table_header(&[
-        ("store", 10),
+        ("checkpoint", 12),
         ("ckpt B (steady)", 17),
         ("stall p50 us", 13),
         ("stall p99 us", 13),
     ]);
     println!(
         "{}{}{}{}",
-        cell("classic", 10),
-        cell(format!("{classic_bytes:.0}"), 17),
-        cell(format!("{classic_p50:.1}"), 13),
-        cell(format!("{classic_p99:.1}"), 13),
+        cell("full", 12),
+        cell(format!("{full_bytes:.0}"), 17),
+        cell("-", 13),
+        cell("-", 13),
     );
     println!(
         "{}{}{}{}",
-        cell("chained", 10),
+        cell("chained", 12),
         cell(format!("{chain_bytes:.0}"), 17),
         cell(format!("{chain_p50:.1}"), 13),
         cell(format!("{chain_p99:.1}"), 13),
     );
     println!("steady-state checkpoint bytes ratio: {ratio:.1}x (acceptance: >= {ratio_bar}x)\n");
 
-    // Kill + resume both stores at the end: the chain is a real
-    // checkpoint lineage, not just cheaper writes.
-    drop(classic);
+    // Kill + resume: the chain is a real checkpoint lineage, not just
+    // cheaper writes.
+    let final_state = chained.hive_state();
     drop(chained);
-    let (from_classic, _) = Platform::resume(
-        &s.program,
-        config(&s, seed, Some(every_round(base.join("classic"), false))),
-    )
-    .expect("classic resume");
-    let (from_chain, rep) = Platform::resume(
-        &s.program,
-        config(&s, seed, Some(every_round(base.join("chained"), true))),
-    )
-    .expect("chained resume");
-    assert_eq!(from_classic.committed_rounds(), rounds);
+    let (from_chain, rep) =
+        Platform::resume(&s.program, config(&s, seed, Some(every_round(chain_root))))
+            .expect("chained resume");
     assert_eq!(from_chain.committed_rounds(), rounds);
     assert_eq!(
-        from_classic.hive_state(),
         from_chain.hive_state(),
-        "chain resume diverged from classic resume"
+        final_state,
+        "chain resume diverged from the uninterrupted run"
     );
-    let chain_walk = rep.chain.expect("chain resume reports its walk");
     println!(
-        "resume: both stores byte-identical at round {rounds}; chain walked gen {:?}..{:?} \
+        "resume: byte-identical at round {rounds}; chain walked gen {:?}..{:?} \
          ({} delta(s) applied)\n",
-        chain_walk.full_generation, chain_walk.head_generation, rep.chain_deltas_applied
+        rep.chain.full_generation, rep.chain.head_generation, rep.chain_deltas_applied
     );
 
     // ── Phase 2: paged tree residency vs growth ──────────────────────
@@ -243,7 +252,7 @@ fn main() {
     );
     let _ = writeln!(
         section,
-        "    \"chain\": {{\"classic_ckpt_bytes\": {classic_bytes:.0}, \"chain_ckpt_bytes\": {chain_bytes:.0}, \"ratio\": {ratio:.2}, \"classic_stall_p50_us\": {classic_p50:.1}, \"classic_stall_p99_us\": {classic_p99:.1}, \"chain_stall_p50_us\": {chain_p50:.1}, \"chain_stall_p99_us\": {chain_p99:.1}, \"deltas_applied_on_resume\": {}}},",
+        "    \"chain\": {{\"full_ckpt_bytes\": {full_bytes:.0}, \"chain_ckpt_bytes\": {chain_bytes:.0}, \"ratio\": {ratio:.2}, \"chain_stall_p50_us\": {chain_p50:.1}, \"chain_stall_p99_us\": {chain_p99:.1}, \"deltas_applied_on_resume\": {}}},",
         rep.chain_deltas_applied
     );
     let _ = writeln!(

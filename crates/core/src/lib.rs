@@ -55,6 +55,7 @@
 
 #![warn(missing_docs)]
 
+mod durable;
 pub mod multi;
 pub mod platform;
 

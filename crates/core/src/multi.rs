@@ -9,20 +9,21 @@
 //! shard and sees its own traces in exact submission order.
 //!
 //! Durability composes with sharding by construction: each shard owns
-//! its own `shard-<i>/` directory (journal + snapshot generations), and
-//! a round commits in two phases — first the round's frames, promotions,
+//! its own `shard-<i>/` directory (journal + checkpoint chain), and a
+//! round commits in two phases — first the round's frames, promotions,
 //! and round record are appended and fsynced to **every** shard journal
-//! (phase A), only then may any shard compact into a snapshot (phase B).
-//! A crash can therefore leave shards at *different* committed rounds,
-//! but never with a snapshot ahead of another shard's journal;
+//! (phase A), only then may any shard checkpoint into its chain (phase
+//! B). A crash can therefore leave shards at *different* committed
+//! rounds, but never with a checkpoint ahead of another shard's journal;
 //! [`MultiPlatform::resume`] recovers every shard, takes the *minimum*
 //! committed round as the campaign's truth, and truncates any shard that
 //! got ahead (those rounds were never acked). The recovered per-shard
 //! state is byte-identical to an uninterrupted run at the same committed
 //! round.
 
+use crate::durable::{Recovery, ShardStore};
 use crate::platform::{
-    chain_dir, decode_pod_states, encode_pod_states, io_err, restore_pod_states, CommitStats,
+    decode_pod_states, encode_pod_states, io_err, restore_pod_states, CommitStats,
     DurabilityConfig, DurabilityError, IngestSettings, RoundTelemetry,
 };
 use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Verdict};
@@ -32,16 +33,14 @@ use softborg_hive::journal::{
     SESSION_PROMOTE, SESSION_ROUND,
 };
 use softborg_hive::{
-    outcome_signature, scrub_campaign, scrub_chained_campaign, scrub_page_dir, FileJournal,
-    HiveConfig, HiveSnapshot, JournalStore, LoadReport, PageScrub, ScrubReport, SnapshotSource,
-    SnapshotStore,
+    outcome_signature, scrub_page_dir, HiveConfig, JournalStore, PageScrub, ScrubReport,
 };
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Program, ProgramId};
 use softborg_shard::{ShardRunStats, ShardedHive};
-use softborg_store::{ChainReport, ChainSource, ChainStore, PageStats, PagedConfig, RecordKind};
+use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -200,9 +199,7 @@ impl MultiRoundReport {
 pub struct ShardResumeReport {
     /// Shard index.
     pub shard: usize,
-    /// How this shard's snapshot load went.
-    pub snapshot: LoadReport,
-    /// Committed rounds restored from the snapshot alone.
+    /// Committed rounds restored from the shard's chain head alone.
     pub rounds_from_snapshot: u64,
     /// Committed rounds replayed from this shard's journal suffix.
     pub rounds_replayed: u64,
@@ -212,10 +209,11 @@ pub struct ShardResumeReport {
     /// minimum committed round: an uncommitted partial segment, a round
     /// this shard journaled while another shard's fsync never happened
     /// (the round was never acked), or a suffix disconnected from a
-    /// fallback snapshot generation. All are truncated.
+    /// fallback chain record. All are truncated.
     pub records_discarded: u64,
-    /// Chain-walk report when [`DurabilityConfig::chain`] is set.
-    pub chain: Option<ChainReport>,
+    /// The shard's chain walk: which lineage validated and every
+    /// damaged record file found.
+    pub chain: ChainReport,
     /// Delta records applied on top of this shard's chain full record.
     pub chain_deltas_applied: u64,
 }
@@ -234,25 +232,15 @@ pub struct MultiResumeReport {
 /// from the sharded ingest path, shared across pod threads.
 type FrameLog = Mutex<Vec<(u64, u64, Vec<u8>)>>;
 
-/// One shard's open durable state.
-#[derive(Debug)]
-struct ShardDurable {
-    store: SnapshotStore,
-    /// Delta-snapshot chain, open iff [`DurabilityConfig::chain`] is
-    /// set.
-    chain: Option<ChainStore>,
-    journal: FileJournal,
-}
-
 /// The live durable half of a multi-program campaign.
 #[derive(Debug)]
 struct MultiDurableState {
-    cfg: DurabilityConfig,
-    shards: Vec<ShardDurable>,
+    /// One journal + chain per shard, in shard order.
+    shards: Vec<ShardStore>,
     /// Next sequence number for `REC_PROMOTE` records (global across
     /// shards, so promotion order is totally ordered).
     promote_seq: u64,
-    /// Per-lane frame floors (`lane → next seq`), snapshotted per shard.
+    /// Per-lane frame floors (`lane → next seq`), checkpointed per shard.
     frame_floors: BTreeMap<u64, u64>,
 }
 
@@ -378,46 +366,20 @@ impl<'p> MultiPlatform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when any shard directory
-    /// already holds a snapshot or non-empty journal;
-    /// [`DurabilityError::Io`] when a shard's journal or snapshot store
-    /// cannot be opened.
+    /// already holds chain records, a non-empty journal, or a legacy
+    /// `hive.snap`/`hive.snap.prev` snapshot; [`DurabilityError::Io`]
+    /// when a shard's journal or chain cannot be opened.
     pub fn try_new(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
     ) -> Result<Self, DurabilityError> {
         let mut platform = Self::base(specs, config);
         platform.enable_tree_paging()?;
-        if let Some(dcfg) = platform.config.durability.clone() {
-            let mut shards = Vec::with_capacity(platform.sharded.n_shards());
-            for i in 0..platform.sharded.n_shards() {
-                let dir = dcfg.dir.join(format!("shard-{i}"));
-                let store = SnapshotStore::open(&dir).map_err(|e| io_err("snapshot-dir", &e))?;
-                if store.snap_path().exists() || store.prev_path().exists() {
-                    return Err(DurabilityError::CampaignExists(dir));
-                }
-                let journal =
-                    FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-                if !journal.is_empty() {
-                    return Err(DurabilityError::CampaignExists(dir));
-                }
-                let chain = if dcfg.chain.is_some() {
-                    let chain =
-                        ChainStore::open(&chain_dir(&dir)).map_err(|e| io_err("chain-dir", &e))?;
-                    if chain.head_generation().is_some() {
-                        return Err(DurabilityError::CampaignExists(dir));
-                    }
-                    Some(chain)
-                } else {
-                    None
-                };
-                shards.push(ShardDurable {
-                    store,
-                    chain,
-                    journal,
-                });
-            }
+        if let Some(dcfg) = &platform.config.durability {
+            let shards = (0..platform.sharded.n_shards())
+                .map(|i| ShardStore::create(shard_dir(dcfg, i), dcfg))
+                .collect::<Result<_, _>>()?;
             platform.durable = Some(MultiDurableState {
-                cfg: dcfg,
                 shards,
                 promote_seq: 0,
                 frame_floors: BTreeMap::new(),
@@ -428,21 +390,22 @@ impl<'p> MultiPlatform<'p> {
 
     /// Resumes (or cold-starts) a durable multi-program campaign.
     ///
-    /// Every shard recovers independently — newest valid snapshot
-    /// (falling back a generation if torn), then journal replay — and
-    /// the campaign's committed round is the **minimum** across shards:
-    /// a round was acked only once phase A fsynced it on every shard, so
-    /// any shard past the minimum holds rounds that were never acked.
-    /// Those suffixes (and any uncommitted partial segment) are
-    /// truncated, leaving every shard byte-identical to the
-    /// uninterrupted run at the recovered round.
+    /// Every shard recovers independently — its checkpoint chain folded
+    /// (falling back a lineage if the newest full record is damaged),
+    /// then journal replay — and the campaign's committed round is the
+    /// **minimum** across shards: a round was acked only once phase A
+    /// fsynced it on every shard, so any shard past the minimum holds
+    /// rounds that were never acked. Those suffixes (and any uncommitted
+    /// partial segment) are truncated, leaving every shard
+    /// byte-identical to the uninterrupted run at the recovered round.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] without a durability config;
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
-    /// garbage.
+    /// garbage, or a shard directory holds a legacy `hive.snap` campaign
+    /// and no chain.
     pub fn resume(
         specs: &[FleetSpec<'p>],
         config: MultiPlatformConfig,
@@ -454,107 +417,55 @@ impl<'p> MultiPlatform<'p> {
         let mut platform = Self::base(specs, config);
         let n_shards = platform.sharded.n_shards();
         let lanes: Vec<ProgramId> = platform.fleets.iter().map(|f| f.id).collect();
+        let hive_config = platform.config.hive.clone();
 
-        // Pass 1: load every shard's snapshot + journal and count its
-        // committed rounds (snapshot rounds + connected ROUND records).
+        // Pass 1: fold every shard's chain into its hives, scan its
+        // journal, and count its committed rounds (checkpoint rounds +
+        // connected ROUND records).
         struct ShardScan {
-            store: SnapshotStore,
-            chain: Option<ChainStore>,
-            chain_load: Option<softborg_store::ChainLoad>,
-            journal: FileJournal,
-            /// The authoritative checkpoint meta: the loaded snapshot, or
-            /// in chain mode the decoded *last* chain record (its
-            /// sessions/wal-coverage/app_meta describe the chain head).
-            snap: Option<HiveSnapshot>,
-            load: LoadReport,
-            wal: Vec<u8>,
-            replay_from: usize,
-            records: Vec<JournalRecord>,
-            tail_dropped: u64,
-            snap_round: u64,
+            store: ShardStore,
+            recovery: Recovery,
+            /// The chain head's decoded meta (round, history, pods).
+            meta: Option<MultiAppMeta>,
             committed: u64,
         }
         let mut scans = Vec::with_capacity(n_shards);
         for i in 0..n_shards {
-            let dir = dcfg.dir.join(format!("shard-{i}"));
-            let store = SnapshotStore::open(&dir).map_err(|e| io_err("snapshot-dir", &e))?;
-            let (snap, load, chain_load, chain) = if dcfg.chain.is_some() {
-                let chain =
-                    ChainStore::open(&chain_dir(&dir)).map_err(|e| io_err("chain-dir", &e))?;
-                let cl = chain.load();
-                let snap = match cl.records.last() {
-                    Some(rec) => Some(HiveSnapshot::decode(&rec.payload).map_err(|e| {
-                        DurabilityError::Corrupt(format!(
-                            "shard {i} chain record {}: {e}",
-                            rec.generation
-                        ))
-                    })?),
-                    None => {
-                        if store.snap_path().exists() || store.prev_path().exists() {
-                            return Err(DurabilityError::Corrupt(format!(
-                                "shard {i}: chain mode found no chain records but a hive.snap \
-                                 exists (legacy campaign); resume it without chain settings"
-                            )));
-                        }
-                        None
-                    }
-                };
-                let load = LoadReport {
-                    source: match cl.report.source {
-                        ChainSource::Primary => SnapshotSource::Primary,
-                        ChainSource::Fallback => SnapshotSource::Fallback,
-                        ChainSource::None => SnapshotSource::None,
-                    },
-                    primary_error: None,
-                    fallback_error: None,
-                };
-                (snap, load, Some(cl), Some(chain))
-            } else {
-                let (snap, load) = store.load();
-                (snap, load, None, None)
-            };
-            let journal =
-                FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-            let wal = journal.read().map_err(|e| io_err("wal-read", &e))?;
-            let (snap_round, replay_from) = match &snap {
-                Some(s) => {
-                    let (round, _, _) = decode_multi_app_meta(&s.app_meta)?;
-                    (round, s.replay_offset(&wal))
-                }
-                None => (0, 0),
-            };
-            let (records, scan) = journal::scan(&wal[replay_from..]);
-            if let Some(err) = scan.tail_error {
-                platform.config.obs.recorder.warn_or_ops(
-                    "multi.resume",
-                    "wal_tail_dropped",
-                    &[
-                        ("shard", i as u64),
-                        ("tail_bytes", scan.tail_dropped as u64),
-                        ("intact_records", scan.records as u64),
-                    ],
-                    format_args!(
-                        "shard {i} resume dropped {} journal tail byte(s) after {} intact \
-                         record(s): {err}",
-                        scan.tail_dropped, scan.records
-                    ),
-                );
-            }
+            let sharded = &mut platform.sharded;
+            let (store, recovery) = ShardStore::open(
+                shard_dir(&dcfg, i),
+                &dcfg,
+                &platform.config.obs.recorder,
+                Some(i),
+                |kind, state| match kind {
+                    RecordKind::Full => sharded
+                        .decode_shard_state(i, state, &hive_config)
+                        .map_err(|e| e.to_string()),
+                    RecordKind::Delta => sharded
+                        .apply_shard_state_delta(i, state)
+                        .map_err(|e| e.to_string()),
+                },
+            )?;
+            let meta = recovery
+                .head
+                .as_ref()
+                .map(|h| decode_multi_app_meta(&h.app_meta))
+                .transpose()?;
+            let snap_round = meta.as_ref().map_or(0, |m| m.0);
             let mut committed = snap_round;
-            let mut expected = snap_round;
-            for rec in &records {
+            for rec in &recovery.records {
                 match rec.kind {
                     REC_ROUND => {
                         let mut r = codec::Reader::new(&rec.frame);
                         let report = MultiRoundReport::decode(&mut r)
                             .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
-                        if report.round != expected {
-                            // Disconnected suffix (snapshot generation
-                            // fell back); nothing past here counts.
+                        if report.round != committed {
+                            // Disconnected suffix (the chain fell back
+                            // to an older record); nothing past here
+                            // counts.
                             break;
                         }
-                        expected += 1;
-                        committed = expected;
+                        committed += 1;
                     }
                     REC_FRAME | REC_PROMOTE | REC_PODS | REC_TOMBSTONE | REC_ABORT => {}
                     other => {
@@ -566,117 +477,53 @@ impl<'p> MultiPlatform<'p> {
             }
             scans.push(ShardScan {
                 store,
-                chain,
-                chain_load,
-                journal,
-                snap,
-                load,
-                wal,
-                replay_from,
-                records,
-                tail_dropped: scan.tail_dropped as u64,
-                snap_round,
+                recovery,
+                meta,
                 committed,
             });
         }
         let target = scans.iter().map(|s| s.committed).min().unwrap_or(0);
 
-        // Pass 2: restore each shard's snapshot state and replay its
-        // journal up to (exactly) the target round, truncating whatever
-        // lies beyond — ahead rounds, partial segments, damaged tails.
+        // Pass 2: replay each shard's journal up to (exactly) the target
+        // round, truncating whatever lies beyond — ahead rounds, partial
+        // segments.
         let mut shard_reports = Vec::with_capacity(n_shards);
         let mut durable_shards = Vec::with_capacity(n_shards);
         let mut promote_seq = 0u64;
         let mut frame_floors: BTreeMap<u64, u64> = BTreeMap::new();
         let mut recovered_history: Option<Vec<MultiRoundReport>> = None;
         // Per-lane durable pod populations: seeded from each shard's
-        // snapshot, then overwritten by committed `REC_PODS` records
+        // chain head, then overwritten by committed `REC_PODS` records
         // replayed from that shard's journal suffix.
         let mut lane_pod_states: BTreeMap<u64, Vec<PodState>> = BTreeMap::new();
         for (shard, mut sc) in scans.into_iter().enumerate() {
-            if sc.snap_round > target {
+            let (snap_round, mut history, head_pods) = sc.meta.take().unwrap_or_default();
+            if snap_round > target {
                 // Phase B runs only after phase A committed on every
-                // shard, so a snapshot can never be ahead of the
+                // shard, so a checkpoint can never be ahead of the
                 // campaign minimum.
                 return Err(DurabilityError::Corrupt(format!(
-                    "shard {shard} snapshot is at round {} but the campaign minimum is {target}",
-                    sc.snap_round
+                    "shard {shard} checkpoint is at round {snap_round} but the campaign minimum \
+                     is {target}"
                 )));
             }
-            let mut history = Vec::new();
-            let mut chain_deltas_applied = 0u64;
-            if let Some(load) = &sc.chain_load {
-                // Chain mode: rebuild the shard from the oldest full
-                // record, then fold every delta on top in generation
-                // order. Meta (sessions, wal coverage, pods) comes from
-                // the already-decoded chain head in `sc.snap`.
-                if let Some((first, rest)) = load.records.split_first() {
-                    let full = HiveSnapshot::decode(&first.payload).map_err(|e| {
-                        DurabilityError::Corrupt(format!(
-                            "shard {shard} chain record {}: {e}",
-                            first.generation
-                        ))
-                    })?;
-                    platform
-                        .sharded
-                        .decode_shard_state(shard, &full.state, &platform.config.hive)
-                        .map_err(|e| {
-                            DurabilityError::Corrupt(format!("shard {shard} state: {e}"))
-                        })?;
-                    let skip_last = dcfg.chain.as_ref().is_some_and(|c| c.skip_last_delta);
-                    for (k, rec) in rest.iter().enumerate() {
-                        if skip_last && k + 1 == rest.len() {
-                            // Planted bug (`skip_delta` canary): the
-                            // head's metadata (already in `sc.snap`) is
-                            // trusted while its state changes are
-                            // silently dropped.
-                            continue;
-                        }
-                        let delta = HiveSnapshot::decode(&rec.payload).map_err(|e| {
-                            DurabilityError::Corrupt(format!(
-                                "shard {shard} chain record {}: {e}",
-                                rec.generation
-                            ))
-                        })?;
-                        platform
-                            .sharded
-                            .apply_shard_state_delta(shard, &delta.state)
-                            .map_err(|e| {
-                                DurabilityError::Corrupt(format!(
-                                    "shard {shard} chain delta {}: {e}",
-                                    rec.generation
-                                ))
-                            })?;
-                        chain_deltas_applied += 1;
-                    }
-                }
-            } else if let Some(s) = &sc.snap {
-                platform
-                    .sharded
-                    .decode_shard_state(shard, &s.state, &platform.config.hive)
-                    .map_err(|e| DurabilityError::Corrupt(format!("shard {shard} state: {e}")))?;
-            }
-            if let Some(s) = &sc.snap {
-                let (_, h, snap_pods) = decode_multi_app_meta(&s.app_meta)?;
-                history = h;
-                for (lane, states) in snap_pods {
-                    lane_pod_states.insert(lane, states);
-                }
-                for (&session, &floor) in &s.sessions {
+            lane_pod_states.extend(head_pods);
+            if let Some(head) = &sc.recovery.head {
+                for (&session, &floor) in &head.sessions {
                     let f = frame_floors.entry(session).or_insert(0);
                     *f = (*f).max(floor);
                 }
             }
-            let mut rounds_applied = sc.snap_round;
+            let mut rounds_applied = snap_round;
             let mut seg_frames: Vec<&JournalRecord> = Vec::new();
             let mut seg_promotes: Vec<&JournalRecord> = Vec::new();
             let mut seg_pods: BTreeMap<u64, &JournalRecord> = BTreeMap::new();
-            let mut offset = sc.replay_from;
+            let mut offset = sc.recovery.replay_from;
             // End of the last fully-applied round (the truncation
             // boundary if anything uncommitted follows).
-            let mut boundary = sc.replay_from;
+            let mut boundary = sc.recovery.replay_from;
             let mut applied_records = 0usize;
-            for (idx, rec) in sc.records.iter().enumerate() {
+            for (idx, rec) in sc.recovery.records.iter().enumerate() {
                 if rounds_applied == target {
                     break;
                 }
@@ -779,8 +626,8 @@ impl<'p> MultiPlatform<'p> {
                 }
                 offset = rec_end;
             }
-            let records_discarded = (sc.records.len() - applied_records) as u64;
-            if (boundary as u64) < sc.wal.len() as u64 {
+            let records_discarded = (sc.recovery.records.len() - applied_records) as u64;
+            if (boundary as u64) < sc.store.journal.len() {
                 if records_discarded > 0 {
                     platform.config.obs.recorder.warn_or_ops(
                         "multi.resume",
@@ -796,7 +643,7 @@ impl<'p> MultiPlatform<'p> {
                         ),
                     );
                 }
-                sc.journal.truncate(boundary as u64)?;
+                sc.store.journal.truncate(boundary as u64)?;
             }
             if rounds_applied != target {
                 return Err(DurabilityError::Corrupt(format!(
@@ -809,19 +656,14 @@ impl<'p> MultiPlatform<'p> {
             }
             shard_reports.push(ShardResumeReport {
                 shard,
-                snapshot: sc.load,
-                chain: sc.chain_load.map(|l| l.report),
-                chain_deltas_applied,
-                rounds_from_snapshot: sc.snap_round,
-                rounds_replayed: rounds_applied - sc.snap_round,
-                wal_tail_dropped: sc.tail_dropped,
+                chain: sc.recovery.chain,
+                chain_deltas_applied: sc.recovery.deltas_applied,
+                rounds_from_snapshot: snap_round,
+                rounds_replayed: rounds_applied - snap_round,
+                wal_tail_dropped: sc.recovery.tail_dropped,
                 records_discarded,
             });
-            durable_shards.push(ShardDurable {
-                store: sc.store,
-                chain: sc.chain,
-                journal: sc.journal,
-            });
+            durable_shards.push(sc.store);
         }
 
         // Paging attaches only after every shard's state is final:
@@ -830,7 +672,7 @@ impl<'p> MultiPlatform<'p> {
         platform.enable_tree_paging()?;
 
         // Process equivalence: install every fleet's freshest committed
-        // pod images (journal beats snapshot; lanes with no durable
+        // pod images (journal beats checkpoint; lanes with no durable
         // record — a cold campaign — keep their seed-derived round-0
         // population).
         for (lane, fleet) in platform.fleets.iter_mut().enumerate() {
@@ -847,7 +689,6 @@ impl<'p> MultiPlatform<'p> {
         platform.round_idx = target;
         platform.history = recovered_history.unwrap_or_default();
         platform.durable = Some(MultiDurableState {
-            cfg: dcfg,
             shards: durable_shards,
             promote_seq,
             frame_floors,
@@ -957,15 +798,11 @@ impl<'p> MultiPlatform<'p> {
             .ok_or(DurabilityError::NotConfigured)?;
         let mut reports = Vec::with_capacity(config.n_shards);
         for i in 0..config.n_shards {
-            let dir = dcfg.dir.join(format!("shard-{i}"));
-            let store = SnapshotStore::open(&dir).map_err(|e| io_err("snapshot-dir", &e))?;
-            reports.push(if dcfg.chain.is_some() {
-                let chain =
-                    ChainStore::open(&chain_dir(&dir)).map_err(|e| io_err("chain-dir", &e))?;
-                scrub_chained_campaign(&store, &chain, &config.obs.recorder)?
-            } else {
-                scrub_campaign(&store, &config.obs.recorder)?
-            });
+            reports.push(ShardStore::scrub(
+                &shard_dir(dcfg, i),
+                &config.obs.recorder,
+                Some(i),
+            )?);
         }
         // Page stores are per program (`prog-<id>/` under the paging
         // root), not per shard; their merged verdict rides on the first
@@ -1452,10 +1289,10 @@ impl<'p> MultiPlatform<'p> {
     /// Commits one round durably. Phase A: append this round's frames
     /// (per-lane, in merge order), promotions, and the round record to
     /// **every** shard journal, then fsync them all — only after every
-    /// fsync is the round acked. Phase B: per-shard snapshot compaction,
-    /// which can therefore never capture a round some journal lacks.
-    /// Returns `(fsync_ns, compacted)` for the round's telemetry entry
-    /// (fsync is timed only when a registry is attached).
+    /// fsync is the round acked. Phase B: per-shard checkpoints, which
+    /// can therefore never capture a round some journal lacks. Returns
+    /// the commit's telemetry slice (fsync is timed only when a registry
+    /// is attached; the checkpoint stall is always timed).
     fn commit_round(
         &mut self,
         report: &MultiRoundReport,
@@ -1521,8 +1358,8 @@ impl<'p> MultiPlatform<'p> {
         report.encode_into(&mut body);
         rec.clear();
         journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, report.round, &body);
-        for sd in &mut d.shards {
-            sd.journal.append(&rec)?;
+        for store in &mut d.shards {
+            store.journal.append(&rec)?;
         }
         // …then fsync everywhere. A crash between fsyncs leaves some
         // shards one round ahead; resume truncates them back to the
@@ -1530,94 +1367,45 @@ impl<'p> MultiPlatform<'p> {
         let clock = obs.span_clock();
         let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
         let fsync_span = SpanTimer::start_if(clock.as_ref(), &fsync_hist);
-        for sd in &mut d.shards {
-            sd.journal.sync()?;
+        for store in &mut d.shards {
+            store.journal.sync()?;
         }
         let fsync_ns = fsync_span.map_or(0, SpanTimer::stop);
 
-        // Phase B: per-shard compaction.
+        // Phase B: per-shard checkpoints.
         let mut stats = CommitStats {
             fsync_ns,
             ..CommitStats::default()
         };
-        let (ratio, min_bytes) = (d.cfg.compact_ratio, d.cfg.min_compact_wal_bytes);
-        if ratio > 0 {
-            for shard in 0..d.shards.len() {
-                let wal_len = d.shards[shard].journal.len();
-                if wal_len < min_bytes {
-                    continue;
-                }
-                // In chain mode the trigger compares against the chain's
-                // own bookkeeping (last full + deltas since), so the
-                // check itself is O(1) instead of re-encoding the shard.
-                let (due, kind, state) = if let Some(cs) = &d.cfg.chain {
-                    let chain = d.shards[shard]
-                        .chain
-                        .as_ref()
-                        .expect("chain mode shards carry a chain store");
-                    let footprint = chain
-                        .last_full_payload_bytes()
-                        .saturating_add(chain.delta_payload_bytes_since_full())
-                        .max(1);
-                    let due = wal_len >= ratio.saturating_mul(footprint);
-                    let kind = if due && chain.rebase_due(cs.rebase_ratio) {
-                        RecordKind::Full
-                    } else {
-                        RecordKind::Delta
-                    };
-                    (due, kind, None)
-                } else {
-                    let state = self
-                        .sharded
-                        .encode_shard_state(shard)
-                        .expect("shard index in range");
-                    let due = wal_len >= ratio.saturating_mul(state.len() as u64);
-                    (due, RecordKind::Full, Some(state))
-                };
-                if due {
-                    let started = std::time::Instant::now();
-                    let state = match (kind, state) {
-                        (RecordKind::Delta, _) => self
-                            .sharded
-                            .encode_shard_state_delta(shard)
-                            .expect("shard index in range"),
-                        (RecordKind::Full, Some(s)) => s,
-                        (RecordKind::Full, None) => self
-                            .sharded
-                            .encode_shard_state(shard)
-                            .expect("shard index in range"),
-                    };
-                    stats.checkpoint_bytes += write_shard_checkpoint(
-                        d,
-                        shard,
-                        &lanes,
-                        self.sharded.map(),
-                        kind,
-                        state,
-                        self.round_idx,
-                        &self.history,
-                        &pod_bodies,
-                        true,
-                    )?;
-                    if d.cfg.chain.is_some() {
-                        self.sharded.mark_shard_clean(shard);
-                    }
-                    stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
-                    stats.compacted = true;
-                }
+        for shard in 0..d.shards.len() {
+            if !d.shards[shard].checkpoint_due() {
+                continue;
             }
+            let started = std::time::Instant::now();
+            stats.checkpoint_bytes += write_shard_checkpoint(
+                d,
+                shard,
+                &lanes,
+                &mut self.sharded,
+                self.round_idx,
+                &self.history,
+                &pod_bodies,
+            )?;
+            stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
+            stats.compacted = true;
         }
         Ok(stats)
     }
 
-    /// On-demand compaction of every shard: each folds its journal into
-    /// a fresh snapshot generation and truncates it.
+    /// On-demand checkpoint of every shard: each folds its journal into
+    /// a fresh chain record (full or delta) and truncates it. Returns
+    /// the payload bytes written, summed over shards.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
-    /// [`DurabilityError::Io`] when a snapshot swap fails.
-    pub fn checkpoint(&mut self) -> Result<(), DurabilityError> {
+    /// [`DurabilityError::Io`] when a chain append fails.
+    pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
         let lanes: Vec<ProgramId> = self.fleets.iter().map(|f| f.id).collect();
         let pod_bodies: Vec<Vec<u8>> = self
             .fleets
@@ -1628,80 +1416,45 @@ impl<'p> MultiPlatform<'p> {
             .durable
             .as_mut()
             .ok_or(DurabilityError::NotConfigured)?;
-        for shard in 0..self.sharded.n_shards() {
-            let kind = match &d.cfg.chain {
-                Some(cs) => {
-                    let chain = d.shards[shard]
-                        .chain
-                        .as_ref()
-                        .expect("chain mode shards carry a chain store");
-                    if chain.rebase_due(cs.rebase_ratio) {
-                        RecordKind::Full
-                    } else {
-                        RecordKind::Delta
-                    }
-                }
-                None => RecordKind::Full,
-            };
-            let state = match kind {
-                RecordKind::Full => self
-                    .sharded
-                    .encode_shard_state(shard)
-                    .expect("shard index in range"),
-                RecordKind::Delta => self
-                    .sharded
-                    .encode_shard_state_delta(shard)
-                    .expect("shard index in range"),
-            };
-            write_shard_checkpoint(
+        let mut written = 0;
+        for shard in 0..d.shards.len() {
+            written += write_shard_checkpoint(
                 d,
                 shard,
                 &lanes,
-                self.sharded.map(),
-                kind,
-                state,
+                &mut self.sharded,
                 self.round_idx,
                 &self.history,
                 &pod_bodies,
-                true,
             )?;
-            if d.cfg.chain.is_some() {
-                self.sharded.mark_shard_clean(shard);
-            }
         }
-        Ok(())
+        Ok(written)
     }
 }
 
-/// Writes one shard's checkpoint generation covering its whole journal,
-/// then (when `truncate`) empties that journal. The snapshot's session
-/// floors and pod populations cover only the lanes whose frames land in
-/// this shard's journal.
-///
-/// In chain mode the record is appended to the shard's delta chain
-/// (`kind` picks full rebase vs delta, and `state` must hold the
-/// matching encoding); otherwise `kind` is ignored and a classic
-/// two-generation snapshot is swapped in. Returns the checkpoint
+/// `shard-<i>/` under the campaign's durability root.
+fn shard_dir(dcfg: &DurabilityConfig, shard: usize) -> std::path::PathBuf {
+    dcfg.dir.join(format!("shard-{shard}"))
+}
+
+/// Appends one checkpoint record to shard `shard`'s chain covering its
+/// whole journal, truncates that journal, and resets the shard's delta
+/// tracking. The record's session floors and pod populations cover only
+/// the lanes whose frames land in this shard's journal. Returns the
 /// payload size in bytes.
-#[allow(clippy::too_many_arguments)]
 fn write_shard_checkpoint(
     d: &mut MultiDurableState,
     shard: usize,
     lanes: &[ProgramId],
-    map: &softborg_shard::ShardMap,
-    kind: RecordKind,
-    state: Vec<u8>,
+    sharded: &mut ShardedHive<'_>,
     round_idx: u64,
     history: &[MultiRoundReport],
     lane_pods: &[Vec<u8>],
-    truncate: bool,
 ) -> Result<u64, DurabilityError> {
-    let sd = &mut d.shards[shard];
-    let wal_bytes = sd.journal.read().map_err(|e| io_err("wal-read", &e))?;
     let on_shard = |lane: u64| {
         lanes
             .get(lane as usize)
-            .is_some_and(|&id| map.shard_of(id) == Ok(shard))
+            .is_some_and(|&id| sharded.map().shard_of(id) == Ok(shard))
     };
     let sessions: BTreeMap<u64, u64> = d
         .frame_floors
@@ -1715,29 +1468,24 @@ fn write_shard_checkpoint(
         .filter(|&(lane, _)| on_shard(lane as u64))
         .map(|(lane, body)| (lane as u64, body.as_slice()))
         .collect();
-    let snap = HiveSnapshot {
-        state,
+    let app_meta = encode_multi_app_meta(round_idx, history, &shard_pods);
+    let written = d.shards[shard].checkpoint(
+        |kind| {
+            match kind {
+                RecordKind::Full => sharded.encode_shard_state(shard),
+                RecordKind::Delta => sharded.encode_shard_state_delta(shard),
+            }
+            .expect("shard index in range")
+        },
         sessions,
-        wal_covered: wal_bytes.len() as u64,
-        wal_covered_hash: wire::fnv1a(&wal_bytes),
-        app_meta: encode_multi_app_meta(round_idx, history, &shard_pods),
-    };
-    let written = if let Some(chain) = sd.chain.as_mut() {
-        let payload = snap.encode();
-        chain
-            .append(kind, &payload)
-            .map_err(|e| io_err("chain-append", &e))?;
-        payload.len() as u64
-    } else {
-        sd.store.write_snapshot(&snap)?
-    };
-    if truncate {
-        sd.journal.truncate(0)?;
-    }
+        app_meta,
+        true,
+    )?;
+    sharded.mark_shard_clean(shard);
     Ok(written)
 }
 
-/// Shard-snapshot `app_meta` payload: committed-round counter, the full
+/// Shard-checkpoint `app_meta` payload: committed-round counter, the full
 /// multi-round history, and this shard's lanes' durable pod populations
 /// (`u32 count` then `u64 lane | bytes` per lane), in the deterministic
 /// byte codec.

@@ -10,6 +10,7 @@
 //! rate across rounds — "the more a program is used, the more reliable
 //! it should become" (§2).
 
+use crate::durable::ShardStore;
 use serde::{Deserialize, Serialize};
 use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Verdict};
 use softborg_guidance::Directive;
@@ -18,16 +19,15 @@ use softborg_hive::journal::{
     SESSION_PROMOTE, SESSION_ROUND,
 };
 use softborg_hive::{
-    diagnosis_signature, outcome_signature, scrub_campaign, scrub_chained_campaign, scrub_page_dir,
-    FileJournal, Hive, HiveConfig, HiveSnapshot, JournalIoError, JournalStore, LoadReport,
-    ScrubError, ScrubReport, SnapshotSource, SnapshotStore,
+    diagnosis_signature, outcome_signature, scrub_page_dir, Hive, HiveConfig, JournalIoError,
+    JournalStore, ScrubError, ScrubReport,
 };
 use softborg_ingest::{IngestConfig, IngestStats};
 use softborg_obs::{ObsHandles, SpanTimer};
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Overlay, Program};
-use softborg_store::{ChainReport, ChainSource, ChainStore, PageStats, PagedConfig, RecordKind};
+use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
 use softborg_trace::wire;
 use softborg_tree::CoverageStats;
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ pub struct PlatformConfig {
     /// How round executions report into the hive.
     pub ingest: IngestSettings,
     /// Crash-only durability: when set, every round is committed to a
-    /// write-ahead journal (with periodic snapshot compaction) before
+    /// write-ahead journal (with periodic delta-chain checkpoints) before
     /// its report is returned, and a killed process can continue the
     /// campaign via [`Platform::resume`]. `None` = in-memory only.
     pub durability: Option<DurabilityConfig>,
@@ -76,27 +76,28 @@ pub struct PlatformConfig {
 /// Where and how a durable campaign persists itself.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the campaign's `hive.wal`, `hive.snap`, and
-    /// `hive.snap.prev` files (created if absent).
+    /// Directory holding the campaign's `hive.wal` journal and its
+    /// `chain/` subdirectory of checkpoint records (created if absent).
     pub dir: PathBuf,
-    /// Snapshot compaction trigger: compact when the journal is at
-    /// least this many times larger than the live serialized hive
-    /// state. `0` disables compaction.
+    /// Checkpoint trigger: checkpoint when the journal is at least this
+    /// many times larger than the chain's footprint (its newest full
+    /// record plus every delta since). `0` disables automatic
+    /// checkpoints.
     pub compact_ratio: u64,
-    /// Journal size below which compaction never triggers, so tiny
-    /// campaigns don't churn snapshots every round.
+    /// Journal size below which a checkpoint never triggers, so tiny
+    /// campaigns don't churn chain records every round.
     pub min_compact_wal_bytes: u64,
-    /// Incremental snapshot chains: when set, checkpoints append
-    /// checksummed full/delta records to a `chain/` subdirectory instead
-    /// of rewriting `hive.snap` whole — a compaction writes O(changes
-    /// since the last checkpoint), not O(hive). `None` keeps the classic
-    /// two-generation full-snapshot store, byte-for-byte.
+    /// Delta-snapshot chain policy. Every checkpoint appends one
+    /// checksummed full or delta record to `chain/`, so a checkpoint
+    /// writes O(changes since the last one), not O(hive). `None` means
+    /// [`ChainSettings::default()`].
     pub chain: Option<ChainSettings>,
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir` with the default compaction policy
-    /// (compact once the journal exceeds 4× the live state and 64 KiB).
+    /// Durability rooted at `dir` with the default checkpoint policy
+    /// (checkpoint once the journal exceeds 4× the chain footprint and
+    /// 64 KiB) and the default chain settings.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
@@ -106,13 +107,10 @@ impl DurabilityConfig {
         }
     }
 
-    /// Same policy, with delta-snapshot chains enabled at the default
-    /// rebase ratio.
-    pub fn chained(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            chain: Some(ChainSettings::default()),
-            ..DurabilityConfig::new(dir)
-        }
+    /// The chain policy in force: [`chain`](Self::chain), or the
+    /// defaults when it is `None`.
+    pub(crate) fn chain_settings(&self) -> ChainSettings {
+        self.chain.clone().unwrap_or_default()
     }
 }
 
@@ -141,11 +139,6 @@ impl Default for ChainSettings {
     }
 }
 
-/// The chain subdirectory under a campaign (or shard) durability dir.
-pub(crate) fn chain_dir(dir: &std::path::Path) -> PathBuf {
-    dir.join("chain")
-}
-
 /// Why a durable platform could not be created or resumed, or why a
 /// durable round commit failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,7 +148,7 @@ pub enum DurabilityError {
     /// [`Platform::try_new`] found campaign state already on disk; use
     /// [`Platform::resume`] instead of silently clobbering it.
     CampaignExists(PathBuf),
-    /// An underlying journal or snapshot I/O operation failed.
+    /// An underlying journal or chain I/O operation failed.
     Io(JournalIoError),
     /// A durable record decoded to garbage (wrong program, torn bytes
     /// that passed no checksum, or a version this build cannot read).
@@ -332,14 +325,12 @@ impl RoundReport {
 /// What [`Platform::resume`] found and did, for recovery observability.
 #[derive(Debug, Clone)]
 pub struct ResumeReport {
-    /// How the snapshot load went (primary, fallback, or cold start).
-    pub snapshot: LoadReport,
-    /// Committed rounds restored from the snapshot alone.
+    /// Committed rounds restored from the chain head alone.
     pub rounds_from_snapshot: u64,
     /// Committed rounds replayed from the journal suffix.
     pub rounds_replayed: u64,
     /// Byte offset of the journal suffix that was replayed (nonzero
-    /// exactly when a crash hit between snapshot rename and journal
+    /// exactly when a crash hit between the chain append and the journal
     /// truncate).
     pub wal_replay_offset: u64,
     /// Corrupt/unsynced journal-tail bytes dropped (warned, not silent).
@@ -348,16 +339,15 @@ pub struct ResumeReport {
     /// fenced behind a `REC_ABORT` so later replays skip them too.
     pub fenced_records: u64,
     /// Intact records discarded because their round index did not
-    /// continue from the recovered snapshot — the newest snapshot was
-    /// lost and recovery fell back a generation, so the journal suffix
-    /// belongs to rounds the fallback never saw. The suffix is
+    /// continue from the recovered checkpoint — the newest chain record
+    /// was lost and recovery fell back to an older one, so the journal
+    /// suffix belongs to rounds the fallback never saw. The suffix is
     /// truncated; the campaign resumes from the older (consistent)
     /// state.
     pub disconnected_records: u64,
-    /// Chain-walk report when [`DurabilityConfig::chain`] is set: which
-    /// lineage validated and every damaged record file found. `None` in
-    /// classic full-snapshot mode.
-    pub chain: Option<ChainReport>,
+    /// The chain walk: which lineage validated (primary, fallback, or
+    /// none for a cold start) and every damaged record file found.
+    pub chain: ChainReport,
     /// Delta records applied on top of the chain's full record.
     pub chain_deltas_applied: u64,
 }
@@ -382,7 +372,8 @@ pub struct RoundTelemetry {
     pub frames_journaled: u64,
     /// Fix promotions appended to the journal this round.
     pub promotions_journaled: u64,
-    /// Whether this round's commit triggered snapshot compaction.
+    /// Whether this round's commit appended a checkpoint record to the
+    /// chain (and truncated the journal).
     pub compacted: bool,
     /// Wall-clock duration of this round's checkpoint write — the
     /// compaction stall — in ns (0 when no checkpoint ran). Unlike
@@ -390,10 +381,9 @@ pub struct RoundTelemetry {
     /// durability benches can report stall percentiles without a
     /// registry attached.
     pub checkpoint_ns: u64,
-    /// Bytes the checkpoint wrote (full snapshot record, or chain
-    /// full/delta record payload). The deterministic stall proxy: with
-    /// chains on, a steady-state compaction writes O(changes) instead of
-    /// O(hive).
+    /// Bytes the checkpoint wrote (the chain record's full or delta
+    /// payload). The deterministic stall proxy: a steady-state delta
+    /// checkpoint writes O(changes) instead of O(hive).
     pub checkpoint_bytes: u64,
 }
 
@@ -426,21 +416,15 @@ pub struct DrivenExecution {
     pub frames: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// The live half of a durable campaign: the open journal, the snapshot
-/// store, and the bookkeeping replay needs.
+/// The live half of a durable campaign: the open journal and chain, and
+/// the bookkeeping replay needs.
 #[derive(Debug)]
 struct DurableState {
-    cfg: DurabilityConfig,
-    store: SnapshotStore,
-    /// Delta-snapshot chain, open iff [`DurabilityConfig::chain`] is
-    /// set. With a chain, checkpoints append here and `hive.snap` is
-    /// never written.
-    chain: Option<ChainStore>,
-    journal: FileJournal,
+    store: ShardStore,
     /// Next sequence number for `REC_PROMOTE` records.
     promote_seq: u64,
     /// Per-pod frame floors (`session → next seq`), carried into
-    /// snapshots so transports resuming against this campaign can
+    /// checkpoints so transports resuming against this campaign can
     /// deduplicate across the restart.
     frame_floors: BTreeMap<u64, u64>,
 }
@@ -502,9 +486,9 @@ impl<'p> Platform<'p> {
     /// # Errors
     ///
     /// [`DurabilityError::CampaignExists`] when the configured directory
-    /// already holds a snapshot or a non-empty journal, and
-    /// [`DurabilityError::Io`] when the journal or snapshot store cannot
-    /// be opened.
+    /// already holds chain records, a non-empty journal, or a legacy
+    /// `hive.snap`/`hive.snap.prev` snapshot, and [`DurabilityError::Io`]
+    /// when the journal or chain cannot be opened.
     pub fn try_new(program: &'p Program, config: PlatformConfig) -> Result<Self, DurabilityError> {
         let mut platform = Self::base(program, config);
         if let Some(pcfg) = platform.config.tree_paging.clone() {
@@ -513,31 +497,9 @@ impl<'p> Platform<'p> {
                 .enable_tree_paging(pcfg)
                 .map_err(|e| io_err("page-store", &e))?;
         }
-        if let Some(dcfg) = platform.config.durability.clone() {
-            let store = SnapshotStore::open(&dcfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-            if store.snap_path().exists() || store.prev_path().exists() {
-                return Err(DurabilityError::CampaignExists(dcfg.dir));
-            }
-            let journal =
-                FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-            if !journal.is_empty() {
-                return Err(DurabilityError::CampaignExists(dcfg.dir));
-            }
-            let chain = if dcfg.chain.is_some() {
-                let chain =
-                    ChainStore::open(&chain_dir(&dcfg.dir)).map_err(|e| io_err("chain-dir", &e))?;
-                if chain.head_generation().is_some() {
-                    return Err(DurabilityError::CampaignExists(dcfg.dir));
-                }
-                Some(chain)
-            } else {
-                None
-            };
+        if let Some(dcfg) = &platform.config.durability {
             platform.durable = Some(DurableState {
-                cfg: dcfg,
-                store,
-                chain,
-                journal,
+                store: ShardStore::create(dcfg.dir.clone(), dcfg)?,
                 promote_seq: 0,
                 frame_floors: BTreeMap::new(),
             });
@@ -546,13 +508,13 @@ impl<'p> Platform<'p> {
     }
 
     /// Resumes (or cold-starts) a durable campaign from
-    /// [`PlatformConfig::durability`]: loads the newest valid snapshot
-    /// (falling back to the previous generation if the newest is torn),
-    /// replays the journal suffix round by round — re-ingesting frames
-    /// in merge order, re-applying promotions, re-running guidance — and
-    /// fences any uncommitted partial round behind a `REC_ABORT` record.
-    /// Recovery **is** the startup path: an empty directory resumes into
-    /// a fresh campaign.
+    /// [`PlatformConfig::durability`]: folds the checkpoint chain (its
+    /// newest valid lineage, falling back to the previous full record's
+    /// if the newest is damaged), replays the journal suffix round by
+    /// round — re-ingesting frames in merge order, re-applying
+    /// promotions, re-running guidance — and fences any uncommitted
+    /// partial round behind a `REC_ABORT` record. Recovery **is** the
+    /// startup path: an empty directory resumes into a fresh campaign.
     ///
     /// The recovered hive state is byte-identical
     /// ([`hive_state`](Self::hive_state)) to the uninterrupted run at
@@ -567,8 +529,9 @@ impl<'p> Platform<'p> {
     /// [`DurabilityError::NotConfigured`] without a durability config;
     /// [`DurabilityError::Io`] on filesystem failures;
     /// [`DurabilityError::Corrupt`] when a checksummed record decodes to
-    /// garbage (journal records damaged *behind* a valid checksum, e.g.
-    /// a snapshot for a different program).
+    /// garbage (records damaged *behind* a valid checksum, e.g. a
+    /// checkpoint for a different program), or when the directory holds
+    /// a legacy `hive.snap` campaign and no chain.
     pub fn resume(
         program: &'p Program,
         config: PlatformConfig,
@@ -577,105 +540,33 @@ impl<'p> Platform<'p> {
             .durability
             .clone()
             .ok_or(DurabilityError::NotConfigured)?;
-        let store = SnapshotStore::open(&dcfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-        // Chain mode never reads `hive.snap` — the chain is the
-        // checkpoint store of record.
-        let (snap, load_report) = if dcfg.chain.is_none() {
-            store.load()
-        } else {
-            (
-                None,
-                LoadReport {
-                    source: SnapshotSource::None,
-                    primary_error: None,
-                    fallback_error: None,
-                },
-            )
-        };
-        let mut wal_file =
-            FileJournal::open(store.wal_path()).map_err(|e| io_err("wal-open", &e))?;
-        let wal = wal_file.read().map_err(|e| io_err("wal-read", &e))?;
-
         let mut platform = Self::base(program, config);
+        let hive_config = platform.config.hive.clone();
+        let hive = &mut platform.hive;
+        let (mut store, recovery) = ShardStore::open(
+            dcfg.dir.clone(),
+            &dcfg,
+            &platform.config.obs.recorder,
+            None,
+            |kind, state| match kind {
+                RecordKind::Full => Hive::decode_state(program, hive_config.clone(), state)
+                    .map(|h| *hive = h)
+                    .map_err(|e| e.to_string()),
+                RecordKind::Delta => hive.apply_state_delta(state).map_err(|e| e.to_string()),
+            },
+        )?;
         let mut frame_floors = BTreeMap::new();
-        // The freshest durable pod population seen so far: the
-        // snapshot's, then overwritten by each committed `REC_PODS`
-        // record replayed from the journal suffix.
+        // The freshest durable pod population seen so far: the chain
+        // head's, then overwritten by each committed `REC_PODS` record
+        // replayed from the journal suffix.
         let mut pod_states: Option<Vec<PodState>> = None;
-        let mut chain_report: Option<ChainReport> = None;
-        let mut chain_deltas_applied = 0u64;
-        let mut chain_store: Option<ChainStore> = None;
-        let replay_from = if dcfg.chain.is_some() {
-            let chain =
-                ChainStore::open(&chain_dir(&dcfg.dir)).map_err(|e| io_err("chain-dir", &e))?;
-            let load = chain.load();
-            let offset = if let Some((first, rest)) = load.records.split_first() {
-                // The lineage starts at a full record; every later
-                // record is a delta against its predecessor.
-                let full = HiveSnapshot::decode(&first.payload).map_err(|e| {
-                    DurabilityError::Corrupt(format!("chain full record {}: {e}", first.generation))
-                })?;
-                platform.hive =
-                    Hive::decode_state(program, platform.config.hive.clone(), &full.state)
-                        .map_err(|e| {
-                            DurabilityError::Corrupt(format!("chain snapshot state: {e}"))
-                        })?;
-                let skip_last = dcfg.chain.as_ref().is_some_and(|c| c.skip_last_delta);
-                let mut last = full;
-                for (k, rec) in rest.iter().enumerate() {
-                    let delta = HiveSnapshot::decode(&rec.payload).map_err(|e| {
-                        DurabilityError::Corrupt(format!(
-                            "chain delta record {}: {e}",
-                            rec.generation
-                        ))
-                    })?;
-                    if skip_last && k + 1 == rest.len() {
-                        // Planted bug (`skip_delta` canary): the head's
-                        // metadata is trusted below while its state
-                        // changes are silently dropped.
-                        last = delta;
-                        continue;
-                    }
-                    platform.hive.apply_state_delta(&delta.state).map_err(|e| {
-                        DurabilityError::Corrupt(format!("chain delta {}: {e}", rec.generation))
-                    })?;
-                    chain_deltas_applied += 1;
-                    last = delta;
-                }
-                let (round_idx, history, snap_pods) = decode_app_meta(&last.app_meta)?;
-                platform.round_idx = round_idx;
-                platform.history = history;
-                pod_states = Some(snap_pods);
-                frame_floors = last.sessions.clone();
-                last.replay_offset(&wal)
-            } else {
-                if store.snap_path().exists() || store.prev_path().exists() {
-                    // A legacy full-snapshot campaign lives here; a
-                    // chain-mode resume would silently cold-start over
-                    // it. Refuse instead.
-                    return Err(DurabilityError::Corrupt(
-                        "chain mode found no chain records but a hive.snap exists \
-                         (legacy campaign); resume it without chain settings"
-                            .to_string(),
-                    ));
-                }
-                0
-            };
-            chain_report = Some(load.report);
-            chain_store = Some(chain);
-            offset
-        } else if let Some(s) = &snap {
-            platform.hive = Hive::decode_state(program, platform.config.hive.clone(), &s.state)
-                .map_err(|e| DurabilityError::Corrupt(format!("snapshot state: {e}")))?;
-            let (round_idx, history, snap_pods) = decode_app_meta(&s.app_meta)?;
+        if let Some(head) = &recovery.head {
+            let (round_idx, history, head_pods) = decode_app_meta(&head.app_meta)?;
             platform.round_idx = round_idx;
             platform.history = history;
-            pod_states = Some(snap_pods);
-            frame_floors = s.sessions.clone();
-            s.replay_offset(&wal)
-        } else {
-            0
-        };
+            pod_states = Some(head_pods);
+            frame_floors = head.sessions.clone();
+        }
         // Recovered trees are decoded in-memory; move them behind the
         // paged store (if configured) before journal replay so the
         // resident budget holds during re-ingest too.
@@ -687,26 +578,8 @@ impl<'p> Platform<'p> {
         }
         let rounds_from_snapshot = platform.round_idx;
 
-        let (records, scan) = journal::scan(&wal[replay_from..]);
-        if let Some(err) = scan.tail_error {
-            platform.config.obs.recorder.warn_or_ops(
-                "platform.resume",
-                "wal_tail_dropped",
-                &[
-                    ("tail_bytes", scan.tail_dropped as u64),
-                    ("intact_records", scan.records as u64),
-                ],
-                format_args!(
-                    "platform resume dropped {} journal tail byte(s) after {} intact \
-                     record(s): {err}",
-                    scan.tail_dropped, scan.records
-                ),
-            );
-            // Cut the damaged tail so future appends land on a clean
-            // record boundary.
-            wal_file.truncate((replay_from + scan.valid_len) as u64)?;
-        }
-
+        let records = &recovery.records;
+        let replay_from = recovery.replay_from;
         let mut promote_seq = 0u64;
         let mut seg_frames: Vec<&JournalRecord> = Vec::new();
         let mut seg_promotes: Vec<&JournalRecord> = Vec::new();
@@ -737,12 +610,12 @@ impl<'p> Platform<'p> {
                 }
                 REC_ROUND => {
                     // Decode the boundary *before* applying the segment:
-                    // if the newest snapshot was destroyed and recovery
-                    // fell back a generation, the journal suffix covers
-                    // rounds the fallback state never saw. Merging it
-                    // would skip the rounds in between, so discard the
-                    // disconnected suffix instead and resume from the
-                    // older — but consistent — state.
+                    // if the newest chain record was destroyed and
+                    // recovery fell back to an older one, the journal
+                    // suffix covers rounds the fallback state never saw.
+                    // Merging it would skip the rounds in between, so
+                    // discard the disconnected suffix instead and resume
+                    // from the older — but consistent — state.
                     let mut r = codec::Reader::new(&rec.frame);
                     let report = RoundReport::decode(&mut r)
                         .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
@@ -766,7 +639,7 @@ impl<'p> Platform<'p> {
                         seg_frames.clear();
                         seg_promotes.clear();
                         seg_pods = None;
-                        wal_file.truncate(seg_start as u64)?;
+                        store.journal.truncate(seg_start as u64)?;
                         break;
                     }
                     seg_frames.sort_by_key(|r| (r.session, r.seq));
@@ -828,53 +701,34 @@ impl<'p> Platform<'p> {
             // them so every future replay discards them too.
             let mut rec = Vec::new();
             journal::append_record(&mut rec, REC_ABORT, SESSION_ROUND, platform.round_idx, &[]);
-            wal_file.append(&rec)?;
-            wal_file.sync()?;
+            store.journal.append(&rec)?;
+            store.journal.sync()?;
             fenced_records = partial;
         }
 
         // Process equivalence: install the freshest committed pod images
-        // (journal beats snapshot; a cold start keeps the seed-derived
+        // (journal beats checkpoint; a cold start keeps the seed-derived
         // population, which *is* the round-0 state).
         if let Some(states) = pod_states {
             restore_pod_states(&mut platform.pods, states)?;
         }
 
         platform.durable = Some(DurableState {
-            cfg: dcfg,
             store,
-            chain: chain_store,
-            journal: wal_file,
             promote_seq,
             frame_floors,
         });
-        // In chain mode the "snapshot" load report mirrors the chain
-        // walk (primary/fallback lineage, or cold); the full defect
-        // detail rides in `chain`.
-        let snapshot_report = match &chain_report {
-            Some(cr) => LoadReport {
-                source: match cr.source {
-                    ChainSource::Primary => SnapshotSource::Primary,
-                    ChainSource::Fallback => SnapshotSource::Fallback,
-                    ChainSource::None => SnapshotSource::None,
-                },
-                primary_error: None,
-                fallback_error: None,
-            },
-            None => load_report,
-        };
         Ok((
             platform,
             ResumeReport {
-                snapshot: snapshot_report,
                 rounds_from_snapshot,
                 rounds_replayed,
                 wal_replay_offset: replay_from as u64,
-                wal_tail_dropped: scan.tail_dropped as u64,
+                wal_tail_dropped: recovery.tail_dropped,
                 fenced_records,
                 disconnected_records,
-                chain: chain_report,
-                chain_deltas_applied,
+                chain: recovery.chain,
+                chain_deltas_applied: recovery.deltas_applied,
             },
         ))
     }
@@ -1185,7 +1039,7 @@ impl<'p> Platform<'p> {
 
     /// Appends one committed round to the journal (frames in merge
     /// order, then promotions, then the round record), fsyncs, and
-    /// compacts into a snapshot when the journal dwarfs the live state.
+    /// checkpoints into the chain when the journal dwarfs its footprint.
     /// Returns the commit's telemetry slice (fsync is timed only when a
     /// registry is attached; the checkpoint stall is always timed).
     fn commit_round(
@@ -1208,7 +1062,7 @@ impl<'p> Platform<'p> {
         for (session, seq, bytes) in &frames {
             rec.clear();
             journal::append_record(&mut rec, REC_FRAME, *session, *seq, bytes);
-            d.journal.append(&rec)?;
+            d.store.journal.append(&rec)?;
             let floor = d.frame_floors.entry(*session).or_insert(0);
             *floor = (*floor).max(seq + 1);
         }
@@ -1219,167 +1073,85 @@ impl<'p> Platform<'p> {
             rec.clear();
             journal::append_record(&mut rec, REC_PROMOTE, SESSION_PROMOTE, d.promote_seq, &body);
             d.promote_seq += 1;
-            d.journal.append(&rec)?;
+            d.store.journal.append(&rec)?;
         }
         rec.clear();
         journal::append_record(&mut rec, REC_PODS, 0, report.round, &pod_body);
-        d.journal.append(&rec)?;
+        d.store.journal.append(&rec)?;
         let mut body = Vec::new();
         report.encode_into(&mut body);
         rec.clear();
         journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, report.round, &body);
-        d.journal.append(&rec)?;
+        d.store.journal.append(&rec)?;
         let clock = obs.span_clock();
         let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
         let fsync_span = SpanTimer::start_if(clock.as_ref(), &fsync_hist);
-        d.journal.sync()?;
+        d.store.journal.sync()?;
         let fsync_ns = fsync_span.map_or(0, SpanTimer::stop);
 
-        // Snapshot compaction: when the journal is `compact_ratio` times
-        // the live state footprint (and big enough to matter), fold it
-        // into a checkpoint and truncate. In chain mode the footprint is
-        // taken from the chain's own bookkeeping (last full + deltas
-        // since) so the trigger check never pays an O(hive) encode.
-        let (ratio, min_bytes, wal_len) = (
-            d.cfg.compact_ratio,
-            d.cfg.min_compact_wal_bytes,
-            d.journal.len(),
-        );
+        // Checkpoint when the journal has outgrown the chain footprint,
+        // then truncate it.
         let mut stats = CommitStats {
             fsync_ns,
             ..CommitStats::default()
         };
-        if ratio > 0 && wal_len >= min_bytes {
-            let (due, state) = match &d.chain {
-                Some(chain) => {
-                    let footprint = chain
-                        .last_full_payload_bytes()
-                        .saturating_add(chain.delta_payload_bytes_since_full())
-                        .max(1);
-                    (wal_len >= ratio.saturating_mul(footprint), None)
-                }
-                None => {
-                    let state = self.hive.encode_state();
-                    (
-                        wal_len >= ratio.saturating_mul(state.len() as u64),
-                        Some(state),
-                    )
-                }
-            };
-            if due {
-                let started = std::time::Instant::now();
-                stats.checkpoint_bytes = self.write_checkpoint(state, true)?;
-                stats.checkpoint_ns = started.elapsed().as_nanos() as u64;
-                stats.compacted = true;
-            }
+        if d.store.checkpoint_due() {
+            let started = std::time::Instant::now();
+            stats.checkpoint_bytes = self.write_checkpoint(true)?;
+            stats.checkpoint_ns = started.elapsed().as_nanos() as u64;
+            stats.compacted = true;
         }
         Ok(stats)
     }
 
-    /// Writes one checkpoint covering the whole journal, then (when
-    /// `truncate`) empties the journal. Classic mode: a full
-    /// [`HiveSnapshot`] swapped into `hive.snap`. Chain mode: a full or
-    /// delta record appended to the chain ([`ChainStore::rebase_due`]
-    /// decides), after which the hive's delta tracking is reset so the
-    /// next delta covers exactly the rounds since this one. Returns the
-    /// bytes written.
-    ///
-    /// `full_state` lets a caller that already encoded the full state
-    /// (the classic compaction trigger) pass it in; `None` encodes
-    /// whatever this checkpoint needs.
-    fn write_checkpoint(
-        &mut self,
-        full_state: Option<Vec<u8>>,
-        truncate: bool,
-    ) -> Result<u64, DurabilityError> {
-        let round_idx = self.round_idx;
-        let chain_settings = self
+    /// Appends one chain record covering the whole journal, then (when
+    /// `truncate`) empties the journal, and resets the hive's delta
+    /// tracking so the next delta covers exactly the rounds since this
+    /// record. Returns the payload bytes written.
+    fn write_checkpoint(&mut self, truncate: bool) -> Result<u64, DurabilityError> {
+        let d = self
             .durable
-            .as_ref()
-            .ok_or(DurabilityError::NotConfigured)?
-            .cfg
-            .chain
-            .clone();
-        let written = if let Some(cs) = chain_settings {
-            let rebase = self
-                .durable
-                .as_ref()
-                .and_then(|d| d.chain.as_ref())
-                .expect("chain store open when chain settings set")
-                .rebase_due(cs.rebase_ratio);
-            let (kind, state) = if rebase {
-                (
-                    RecordKind::Full,
-                    full_state.unwrap_or_else(|| self.hive.encode_state()),
-                )
-            } else {
-                (RecordKind::Delta, self.hive.encode_state_delta())
-            };
-            let app_meta = encode_app_meta(round_idx, &self.history, &self.pods);
-            let d = self.durable.as_mut().expect("checked above");
-            let wal_bytes = d.journal.read().map_err(|e| io_err("wal-read", &e))?;
-            let snap = HiveSnapshot {
-                state,
-                sessions: d.frame_floors.clone(),
-                wal_covered: wal_bytes.len() as u64,
-                wal_covered_hash: wire::fnv1a(&wal_bytes),
-                app_meta,
-            };
-            let payload = snap.encode();
-            d.chain
-                .as_mut()
-                .expect("chain store open")
-                .append(kind, &payload)
-                .map_err(|e| io_err("chain-append", &e))?;
-            // From here on, deltas cover changes since *this* record.
-            self.hive.mark_clean();
-            payload.len() as u64
-        } else {
-            let state = full_state.unwrap_or_else(|| self.hive.encode_state());
-            let app_meta = encode_app_meta(round_idx, &self.history, &self.pods);
-            let d = self.durable.as_mut().expect("checked above");
-            let wal_bytes = d.journal.read().map_err(|e| io_err("wal-read", &e))?;
-            let snap = HiveSnapshot {
-                state,
-                sessions: d.frame_floors.clone(),
-                wal_covered: wal_bytes.len() as u64,
-                wal_covered_hash: wire::fnv1a(&wal_bytes),
-                app_meta,
-            };
-            d.store.write_snapshot(&snap)?
-        };
-        let d = self.durable.as_mut().expect("checked above");
-        if truncate {
-            d.journal.truncate(0)?;
-        }
+            .as_mut()
+            .ok_or(DurabilityError::NotConfigured)?;
+        let app_meta = encode_app_meta(self.round_idx, &self.history, &self.pods);
+        let hive = &self.hive;
+        let written = d.store.checkpoint(
+            |kind| match kind {
+                RecordKind::Full => hive.encode_state(),
+                RecordKind::Delta => hive.encode_state_delta(),
+            },
+            d.frame_floors.clone(),
+            app_meta,
+            truncate,
+        )?;
+        self.hive.mark_clean();
         Ok(written)
     }
 
-    /// On-demand compaction: folds the journal into a fresh checkpoint
-    /// (snapshot generation, or chain record in chain mode) and
-    /// truncates it, regardless of the automatic
+    /// On-demand checkpoint: folds the journal into a fresh chain record
+    /// (full or delta) and truncates it, regardless of the automatic
     /// [`DurabilityConfig::compact_ratio`] trigger. Returns the payload
     /// bytes written — the deterministic stall proxy benches report.
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
-    /// [`DurabilityError::Io`] when the snapshot swap fails.
+    /// [`DurabilityError::Io`] when the chain append fails.
     pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
-        self.write_checkpoint(None, true)
+        self.write_checkpoint(true)
     }
 
     /// Like [`checkpoint`](Self::checkpoint) but dies before the journal
     /// truncate: on return, the disk is exactly the crash window between
-    /// the snapshot rename and the truncate. Crash-injection harnesses
-    /// use this to prove [`resume`](Self::resume) never double-applies
-    /// journal records a snapshot already covers.
+    /// the chain append and the truncate. Crash-injection harnesses use
+    /// this to prove [`resume`](Self::resume) never double-applies
+    /// journal records a checkpoint already covers.
     ///
     /// # Errors
     ///
     /// Same as [`checkpoint`](Self::checkpoint).
     pub fn checkpoint_interrupted(&mut self) -> Result<(), DurabilityError> {
-        self.write_checkpoint(None, false).map(|_| ())
+        self.write_checkpoint(false).map(|_| ())
     }
 
     /// Serialized hive state (the byte-identity invariant checked by the
@@ -1402,7 +1174,7 @@ impl<'p> Platform<'p> {
     }
 
     /// Scrubs the campaign's durable files for bit rot *before*
-    /// resuming: corrupt snapshot generations are quarantined, journal
+    /// resuming: corrupt chain records are quarantined, journal
     /// damage is cut or repaired around (see
     /// [`softborg_hive::scrub`]), and every detection records a Warn
     /// event on [`PlatformConfig::obs`]. Run this after a suspected
@@ -1413,21 +1185,15 @@ impl<'p> Platform<'p> {
     /// [`DurabilityError::NotConfigured`] without a durability config;
     /// [`DurabilityError::Io`] on filesystem failures; and
     /// [`DurabilityError::Corrupt`] when the directory held campaign
-    /// data but nothing valid survived — resuming would silently
-    /// cold-start over it, which the scrub refuses to sanction.
+    /// data but nothing valid survived, or holds a legacy `hive.snap`
+    /// campaign and no chain — resuming would silently cold-start over
+    /// it, which the scrub refuses to sanction.
     pub fn scrub(config: &PlatformConfig) -> Result<ScrubReport, DurabilityError> {
         let dcfg = config
             .durability
             .as_ref()
             .ok_or(DurabilityError::NotConfigured)?;
-        let store = SnapshotStore::open(&dcfg.dir).map_err(|e| io_err("snapshot-dir", &e))?;
-        let mut report = if dcfg.chain.is_some() {
-            let chain =
-                ChainStore::open(&chain_dir(&dcfg.dir)).map_err(|e| io_err("chain-dir", &e))?;
-            scrub_chained_campaign(&store, &chain, &config.obs.recorder)?
-        } else {
-            scrub_campaign(&store, &config.obs.recorder)?
-        };
+        let mut report = ShardStore::scrub(&dcfg.dir, &config.obs.recorder, None)?;
         if let Some(pcfg) = &config.tree_paging {
             report.pages = Some(scrub_page_dir(&pcfg.dir, &config.obs.recorder)?);
         }
@@ -1435,20 +1201,19 @@ impl<'p> Platform<'p> {
     }
 
     /// Current write-ahead-journal size in bytes (`None` when the
-    /// platform is not durable). The compaction bound asserted by E16:
-    /// this stays below `compact_ratio × live state size` plus one
-    /// round's worth of records.
+    /// platform is not durable). The checkpoint bound asserted by E16:
+    /// after a round commits, this stays below `compact_ratio` times the
+    /// chain footprint (or `min_compact_wal_bytes`).
     pub fn wal_len(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.journal.len())
+        self.durable.as_ref().map(|d| d.store.journal.len())
     }
 
-    /// Generation of the chain head (`None` when chain mode is off or
-    /// the chain is cold).
+    /// Generation of the chain head (`None` when the platform is not
+    /// durable or the chain is cold).
     pub fn chain_head_generation(&self) -> Option<u64> {
         self.durable
             .as_ref()
-            .and_then(|d| d.chain.as_ref())
-            .and_then(ChainStore::head_generation)
+            .and_then(|d| d.store.chain.head_generation())
     }
 
     /// Paged-tree counters (zeros when [`PlatformConfig::tree_paging`]
@@ -1634,11 +1399,11 @@ impl<'p> Platform<'p> {
     }
 }
 
-/// Snapshot `app_meta` payload: committed-round counter, the full round
-/// history, and the durable pod population, in the deterministic byte
-/// codec. The pod images make snapshot-only recovery (a fully compacted
-/// journal) restore every pod mid-stream, exactly like replaying the
-/// journal's `REC_PODS` records would.
+/// Checkpoint `app_meta` payload: committed-round counter, the full
+/// round history, and the durable pod population, in the deterministic
+/// byte codec. The pod images make checkpoint-only recovery (a fully
+/// truncated journal) restore every pod mid-stream, exactly like
+/// replaying the journal's `REC_PODS` records would.
 fn encode_app_meta(round_idx: u64, history: &[RoundReport], pods: &[Pod<'_>]) -> Vec<u8> {
     let mut buf = Vec::new();
     codec::put_u64(&mut buf, round_idx);
@@ -1671,7 +1436,7 @@ fn decode_app_meta(
 }
 
 /// Encodes the whole pod population for a `REC_PODS` journal record or a
-/// snapshot's `app_meta`: `u32 count` then one length-prefixed
+/// checkpoint's `app_meta`: `u32 count` then one length-prefixed
 /// [`PodState`] image (itself versioned and checksummed) per pod.
 pub(crate) fn encode_pod_states(pods: &[Pod<'_>]) -> Vec<u8> {
     let mut buf = Vec::new();

@@ -2,16 +2,17 @@
 //! offset (crash) or bit-flipped (torn write) still recovers a clean
 //! prefix; a restarted server seeded from that journal deduplicates
 //! client resends instead of double-ingesting them; and checksummed
-//! snapshots reject every corruption, falling back a generation when
-//! the newest one is torn.
+//! snapshot records reject every corruption, the chain falling back a
+//! lineage when the newest full record is torn.
 
 use proptest::prelude::*;
 use softborg_hive::journal::{self, REC_FRAME, REC_TOMBSTONE};
-use softborg_hive::snapshot::{HiveSnapshot, SnapshotSource, SnapshotStore};
+use softborg_hive::snapshot::HiveSnapshot;
 use softborg_hive::transport::{run_reliable_ingest, run_reliable_ingest_resumed, TransportConfig};
 use softborg_hive::{Hive, HiveConfig};
 use softborg_ingest::IngestConfig;
 use softborg_program::scenarios::{self, Scenario};
+use softborg_store::{ChainSource, ChainStore, RecordKind};
 use softborg_trace::{wire, ExecutionTrace};
 use std::collections::BTreeMap;
 
@@ -271,8 +272,8 @@ proptest! {
 
     /// Snapshot decode is a total function: the encoding roundtrips,
     /// and *every* truncation and every single-bit flip is rejected —
-    /// never mis-decoded. A store whose newest snapshot is torn falls
-    /// back to the previous generation.
+    /// never mis-decoded. A chain whose newest full record is torn falls
+    /// back to the previous full's lineage.
     #[test]
     fn snapshot_corruption_is_always_detected_and_store_falls_back(
         state_seed in 0u64..1_000,
@@ -306,21 +307,25 @@ proptest! {
             "bit flip at {bit} must be rejected"
         );
 
-        // Generational fallback: write two snapshots, tear the newest.
+        // Lineage fallback: append two full records, tear the newest.
         let dir = std::env::temp_dir().join(format!(
             "softborg-snapprop-{}-{state_seed}-{cut_pct}-{flip}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::open(&dir).expect("store dir");
+        let mut chain = ChainStore::open(&dir).expect("chain dir");
         let older = HiveSnapshot { wal_covered: wal_covered ^ 1, ..snap.clone() };
-        store.write_snapshot(&older).expect("write older");
-        store.write_snapshot(&snap).expect("write newer");
-        std::fs::write(store.snap_path(), &bytes[..cut]).expect("tear newest");
-        let (loaded, load) = store.load();
-        prop_assert_eq!(load.source, SnapshotSource::Fallback);
-        prop_assert!(load.primary_error.is_some());
-        prop_assert_eq!(&loaded.expect("previous generation verifies"), &older);
+        chain.append(RecordKind::Full, &older.encode()).expect("append older");
+        let newest = chain.append(RecordKind::Full, &bytes).expect("append newer");
+        let newest_path = dir.join(format!("chain-{newest:020}.full"));
+        let record = std::fs::read(&newest_path).expect("read newest");
+        let keep = record.len() * cut_pct / 100;
+        std::fs::write(&newest_path, &record[..keep]).expect("tear newest");
+        let load = chain.load();
+        prop_assert_eq!(load.report.source, ChainSource::Fallback);
+        prop_assert!(!load.report.defects.is_empty(), "the torn record is reported");
+        let head = load.records.last().expect("previous lineage verifies");
+        prop_assert_eq!(&HiveSnapshot::decode(&head.payload).expect("decodes"), &older);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

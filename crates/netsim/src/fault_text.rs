@@ -157,20 +157,11 @@ impl FaultPlan {
                 DiskCrashPoint::FlipWalBit { back_offset } => {
                     format!("disk = flip_wal_bit {back_offset}")
                 }
-                DiskCrashPoint::TornSnapshot { keep_per_mille } => {
-                    format!("disk = torn_snapshot {keep_per_mille}")
-                }
-                DiskCrashPoint::FlipSnapshotBit { offset } => {
-                    format!("disk = flip_snapshot_bit {offset}")
-                }
                 DiskCrashPoint::BetweenRenameAndTruncate => {
                     "disk = between_rename_and_truncate".to_string()
                 }
                 DiskCrashPoint::CorruptWal { sector, kind } => {
                     format!("disk = corrupt_wal {sector} {}", corruption_text(kind))
-                }
-                DiskCrashPoint::CorruptSnapshot { sector, kind } => {
-                    format!("disk = corrupt_snapshot {sector} {}", corruption_text(kind))
                 }
                 DiskCrashPoint::CorruptChainRecord { back, sector, kind } => {
                     format!(
@@ -267,19 +258,9 @@ impl FaultPlan {
                         ["flip_wal_bit", n] => DiskCrashPoint::FlipWalBit {
                             back_offset: parse_u64(n, line, "disk.flip_wal_bit")?,
                         },
-                        ["torn_snapshot", n] => DiskCrashPoint::TornSnapshot {
-                            keep_per_mille: parse_u32(n, line, "disk.torn_snapshot")?,
-                        },
-                        ["flip_snapshot_bit", n] => DiskCrashPoint::FlipSnapshotBit {
-                            offset: parse_u64(n, line, "disk.flip_snapshot_bit")?,
-                        },
                         ["between_rename_and_truncate"] => DiskCrashPoint::BetweenRenameAndTruncate,
                         ["corrupt_wal", s, what, n] => DiskCrashPoint::CorruptWal {
                             sector: parse_u64(s, line, "disk.corrupt_wal.sector")?,
-                            kind: parse_corruption(what, n, line)?,
-                        },
-                        ["corrupt_snapshot", s, what, n] => DiskCrashPoint::CorruptSnapshot {
-                            sector: parse_u64(s, line, "disk.corrupt_snapshot.sector")?,
                             kind: parse_corruption(what, n, line)?,
                         },
                         ["corrupt_chain_record", b, s, what, n] => {
@@ -294,6 +275,13 @@ impl FaultPlan {
                             sector: parse_u64(s, line, "disk.corrupt_page.sector")?,
                             kind: parse_corruption(what, n, line)?,
                         },
+                        ["torn_snapshot" | "flip_snapshot_bit" | "corrupt_snapshot", ..] => {
+                            return Err(PlanTextError::BadValue {
+                                line,
+                                what: "disk crash point (the hive.snap store is gone: \
+                                       target chain records with corrupt_chain_record)",
+                            })
+                        }
                         _ => {
                             return Err(PlanTextError::BadValue {
                                 line,
@@ -342,10 +330,6 @@ mod tests {
                 DiskCrashPoint::AtRoundBoundary { round: 3 },
                 DiskCrashPoint::TruncateWalTail { drop_bytes: 64 },
                 DiskCrashPoint::FlipWalBit { back_offset: 32 },
-                DiskCrashPoint::TornSnapshot {
-                    keep_per_mille: 500,
-                },
-                DiskCrashPoint::FlipSnapshotBit { offset: 7 },
                 DiskCrashPoint::BetweenRenameAndTruncate,
                 DiskCrashPoint::CorruptWal {
                     sector: 9,
@@ -355,7 +339,8 @@ mod tests {
                     sector: 0,
                     kind: SectorCorruption::ZeroRange { sectors: 4 },
                 },
-                DiskCrashPoint::CorruptSnapshot {
+                DiskCrashPoint::CorruptChainRecord {
+                    back: 0,
                     sector: 2,
                     kind: SectorCorruption::TornWrite { keep_bytes: 100 },
                 },
@@ -422,6 +407,24 @@ mod tests {
             FaultPlan::from_text(&t),
             Err(PlanTextError::BadValue { line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn retired_snapshot_points_are_typed_errors_naming_the_line() {
+        for point in [
+            "torn_snapshot 500",
+            "flip_snapshot_bit 7",
+            "corrupt_snapshot 7 torn_write 408",
+        ] {
+            let t = format!("{PLAN_TEXT_HEADER}\ncrash = 1 5 10\ndisk = {point}\n");
+            let err = FaultPlan::from_text(&t).expect_err(point);
+            assert!(
+                matches!(err, PlanTextError::BadValue { line: 3, .. }),
+                "{point}: {err:?}"
+            );
+            assert!(err.to_string().contains("line 3"), "{err}");
+            assert!(err.to_string().contains("corrupt_chain_record"), "{err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 
 use proptest::prelude::*;
 use softborg_netsim::{
-    Addr, Crash, Ctx, DiskCrashPoint, FaultPlan, LinkConfig, NetNode, Partition, Sim, SimConfig,
+    Addr, Crash, Ctx, DiskCrashPoint, FaultPlan, LinkConfig, NetNode, Partition, SectorCorruption,
+    Sim, SimConfig,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -20,7 +21,18 @@ use std::rc::Rc;
 /// Decodes one `(selector, arg)` pair into a disk crash point, covering
 /// every variant of the enum.
 fn disk_point(selector: u8, arg: u64) -> DiskCrashPoint {
-    match selector % 6 {
+    let kind = match arg % 3 {
+        0 => SectorCorruption::FlipBit {
+            bit: (arg % 4096) as u32,
+        },
+        1 => SectorCorruption::ZeroRange {
+            sectors: (arg % 7) as u32,
+        },
+        _ => SectorCorruption::TornWrite {
+            keep_bytes: (arg % 512) as u32,
+        },
+    };
+    match selector % 7 {
         0 => DiskCrashPoint::AtRoundBoundary { round: arg % 100 },
         1 => DiskCrashPoint::TruncateWalTail {
             drop_bytes: arg % 10_000,
@@ -28,11 +40,16 @@ fn disk_point(selector: u8, arg: u64) -> DiskCrashPoint {
         2 => DiskCrashPoint::FlipWalBit {
             back_offset: arg % 10_000,
         },
-        3 => DiskCrashPoint::TornSnapshot {
-            keep_per_mille: (arg % 1001) as u32,
+        3 => DiskCrashPoint::CorruptWal { sector: arg, kind },
+        4 => DiskCrashPoint::CorruptChainRecord {
+            back: arg % 5,
+            sector: arg / 5,
+            kind,
         },
-        4 => DiskCrashPoint::FlipSnapshotBit {
-            offset: arg % 10_000,
+        5 => DiskCrashPoint::CorruptPage {
+            page: arg % 11,
+            sector: arg / 11,
+            kind,
         },
         _ => DiskCrashPoint::BetweenRenameAndTruncate,
     }

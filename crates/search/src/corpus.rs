@@ -40,9 +40,11 @@
 //! `campaign = durable` line followed by the [`DurableWorkload`]
 //! coordinates (`scenarios`, `shards`, `fleet_pods`, `rounds`, `execs`,
 //! `platform_seed`, `compact_ratio`, `min_compact_wal`,
-//! `durable_canary`, and the storage-mode flags `store_chain` /
-//! `store_paging`, written only when on so older entries parse
-//! unchanged); the `campaign` line always precedes its keys. For those
+//! `durable_canary`, and the storage-mode flag `store_paging`, written
+//! only when on so older entries parse unchanged); the `campaign` line
+//! always precedes its keys. The retired `store_chain` flag (from before
+//! every campaign checkpointed into a delta chain) is a parse error. For
+//! those
 //! entries `trace_hash` pins the outcome digest and `virtual_end_us`
 //! pins the final committed round.
 
@@ -172,9 +174,6 @@ impl CorpusEntry {
             out.push_str(&format!("compact_ratio = {}\n", d.compact_ratio));
             out.push_str(&format!("min_compact_wal = {}\n", d.min_compact_wal_bytes));
             // Emitted only when on: pre-store entries stay byte-stable.
-            if d.chain {
-                out.push_str("store_chain = 1\n");
-            }
             if d.paging {
                 out.push_str("store_paging = 1\n");
             }
@@ -221,12 +220,22 @@ impl CorpusEntry {
     /// Returns [`CorpusError::Parse`] naming the first offending line
     /// or missing key.
     pub fn from_text(text: &str) -> Result<CorpusEntry, CorpusError> {
-        let bad = |what: &str| CorpusError::Parse(what.to_string());
+        // 1-based line the parser is on (0 outside the key lines).
+        let at = std::cell::Cell::new(0usize);
+        let bad = |what: &str| {
+            CorpusError::Parse(match at.get() {
+                0 => what.to_string(),
+                line => format!("line {line}: {what}"),
+            })
+        };
         let (meta, plan_text) = text
             .split_once("plan:\n")
             .ok_or_else(|| bad("missing `plan:` section"))?;
-        let mut lines = meta.lines().filter(|l| !l.trim().is_empty());
-        if lines.next().map(str::trim) != Some(CORPUS_HEADER) {
+        let mut lines = meta
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        if lines.next().map(|(_, l)| l.trim()) != Some(CORPUS_HEADER) {
             return Err(bad("missing or unsupported header"));
         }
         let mut w = Workload::default();
@@ -241,7 +250,8 @@ impl CorpusEntry {
         let mut minimal_weight = None;
         let mut shrink_steps = None;
         w.canary = None;
-        for l in lines {
+        for (i, l) in lines {
+            at.set(i + 1);
             let (key, value) = l
                 .split_once('=')
                 .map(|(k, v)| (k.trim(), v.trim()))
@@ -288,7 +298,12 @@ impl CorpusEntry {
                 "platform_seed" => dur!().seed = num(value)?,
                 "compact_ratio" => dur!().compact_ratio = num(value)?,
                 "min_compact_wal" => dur!().min_compact_wal_bytes = num(value)?,
-                "store_chain" => dur!().chain = num(value)? != 0,
+                "store_chain" => {
+                    return Err(bad(
+                        "store_chain is retired: every durable campaign checkpoints into a \
+                         delta chain, so the key has nothing left to switch",
+                    ));
+                }
                 "store_paging" => dur!().paging = num(value)? != 0,
                 "durable_canary" => {
                     dur!().canary = Some(
@@ -331,6 +346,7 @@ impl CorpusEntry {
                 _ => return Err(bad(&format!("unknown key {key:?}"))),
             }
         }
+        at.set(0);
         let plan =
             FaultPlan::from_text(plan_text).map_err(|e| bad(&format!("embedded plan: {e}")))?;
         Ok(CorpusEntry {
@@ -561,21 +577,54 @@ mod tests {
         let mut e2 = e.clone();
         e2.campaign.as_mut().unwrap().canary = None;
         assert_eq!(CorpusEntry::from_text(&e2.to_text()).expect("parses"), e2);
-        // Storage-mode flags ride along when set — and are absent from
-        // the text when off, so pre-store entries stay byte-stable.
+        // The paging flag rides along when set — and is absent from the
+        // text when off, so pre-store entries stay byte-stable.
         let mut e3 = e.clone();
         {
             let c = e3.campaign.as_mut().unwrap();
-            c.chain = true;
             c.paging = true;
             c.canary = Some(DurableCanary::SkipDelta);
         }
         let text = e3.to_text();
-        assert!(text.contains("store_chain = 1"));
         assert!(text.contains("store_paging = 1"));
         assert!(text.contains("durable_canary = skip_delta"));
         assert_eq!(CorpusEntry::from_text(&text).expect("parses"), e3);
-        assert!(!e.to_text().contains("store_chain"));
+        assert!(!e.to_text().contains("store_paging"));
+    }
+
+    #[test]
+    fn retired_store_chain_key_is_a_parse_error_naming_the_line() {
+        let e = CorpusEntry {
+            campaign: Some(DurableWorkload::default()),
+            ..entry()
+        };
+        let text = e.to_text().replace(
+            "min_compact_wal = 1024\n",
+            "min_compact_wal = 1024\nstore_chain = 1\n",
+        );
+        let line = text
+            .lines()
+            .position(|l| l == "store_chain = 1")
+            .expect("key spliced in")
+            + 1;
+        match CorpusEntry::from_text(&text) {
+            Err(CorpusError::Parse(what)) => {
+                assert!(what.starts_with(&format!("line {line}: ")), "{what}");
+                assert!(what.contains("store_chain"), "{what}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // An embedded plan with a retired snapshot point fails as well,
+        // naming the plan line.
+        let line = e.plan.to_text().lines().count() + 1;
+        let text = e.to_text() + "disk = corrupt_snapshot 7 torn_write 408\n";
+        match CorpusEntry::from_text(&text) {
+            Err(CorpusError::Parse(what)) => {
+                assert!(what.contains(&format!("line {line}: ")), "{what}");
+                assert!(what.contains("corrupt_chain_record"), "{what}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,20 +10,21 @@
 //!
 //! * [`DiskCrashPoint::AtRoundBoundary`] — kill the whole fleet after
 //!   that committed round, then scrub and resume.
-//! * [`DiskCrashPoint::CorruptWal`] / [`DiskCrashPoint::CorruptSnapshot`]
-//!   — while the fleet is down, rot a sector of a shard's journal or
-//!   snapshot (bit flip, zeroed range, torn write). Corruption points
-//!   with no kill of their own attach to a synthetic mid-campaign kill.
+//! * [`DiskCrashPoint::CorruptWal`] / [`DiskCrashPoint::CorruptChainRecord`]
+//!   — while the fleet is down, rot a sector of a shard's journal or of
+//!   one of its checkpoint-chain records (bit flip, zeroed range, torn
+//!   write). Corruption points with no kill of their own attach to a
+//!   synthetic mid-campaign kill. A chain point is a no-op before the
+//!   shard's first checkpoint.
 //!
-//! * [`DiskCrashPoint::CorruptChainRecord`] / [`DiskCrashPoint::CorruptPage`]
-//!   — the same, aimed at delta-chain record files and paged-tree page
-//!   files. No-ops unless the campaign runs with
-//!   [`DurableWorkload::chain`] / [`DurableWorkload::paging`].
+//! * [`DiskCrashPoint::CorruptPage`] — the same, aimed at paged-tree
+//!   page files. A no-op unless the campaign runs with
+//!   [`DurableWorkload::paging`].
 //!
 //! The oracle ladder judging the outcome (see [`check_durable`]): every
 //! corruption that changed stored bytes must be flagged by the scrub
-//! pass ([`OracleFailure::ScrubSilent`] otherwise); a chain-mode rebuild
-//! whose shard state differs from the reference is a
+//! pass ([`OracleFailure::ScrubSilent`] otherwise); a resume that
+//! rebuilt shard state from chain records and got it wrong is a
 //! [`OracleFailure::DeltaChainDivergence`]; a paged store that adopted
 //! page files instead of rebuilding them is a
 //! [`OracleFailure::PageLost`]; and every resumed fleet must otherwise
@@ -116,15 +117,10 @@ pub struct DurableWorkload {
     pub execs: u32,
     /// Master platform seed.
     pub seed: u64,
-    /// Snapshot compaction ratio (`0` disables compaction).
+    /// Checkpoint ratio (`0` disables automatic checkpoints).
     pub compact_ratio: u64,
-    /// Journal size below which compaction never triggers.
+    /// Journal size below which a checkpoint never triggers.
     pub min_compact_wal_bytes: u64,
-    /// Run the campaign's durability in delta-snapshot-chain mode
-    /// (checkpoints append full/delta records instead of rewriting
-    /// `hive.snap`). The reference run shares the mode; equivalence must
-    /// hold either way.
-    pub chain: bool,
     /// Run the *campaign* (never the reference) with every execution
     /// tree behind the paged store — the reference stays in memory, so
     /// the equivalence oracle doubles as the paging-on/off byte-identity
@@ -145,7 +141,6 @@ impl Default for DurableWorkload {
             seed: 41,
             compact_ratio: 2,
             min_compact_wal_bytes: 1024,
-            chain: false,
             paging: false,
             canary: None,
         }
@@ -170,9 +165,11 @@ pub struct DurableOutcome {
     /// First committed round where a resumed fleet was not
     /// process-equivalent to the reference run, if any.
     pub divergence: Option<u64>,
-    /// First committed round where a *chain-mode* rebuild produced wrong
-    /// shard state (set instead of `divergence` when the state half of
-    /// the equivalence check fails under [`DurableWorkload::chain`]).
+    /// First committed round where shard state rebuilt from chain
+    /// records was wrong (set instead of `divergence` when the state half
+    /// of the equivalence check fails once some resume has folded chain
+    /// records, and the fleet adopted no stale page files that would
+    /// explain it).
     pub chain_divergence: Option<u64>,
     /// Page files the campaign's paged stores adopted instead of
     /// rebuilding, summed over every fleet incarnation. Nonzero only
@@ -191,10 +188,19 @@ static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
 impl DurableWorkload {
     /// The default workload with `canary` armed, compaction adjusted so
     /// the canary's storage-level tampering cannot be masked by
-    /// snapshotted pod state.
+    /// checkpointed pod state. [`DurableCanary::SkipDelta`] also runs a
+    /// single shard: with several, a rotten chain head on one shard
+    /// rolls it back behind its peers' newer checkpoints, and the fleet
+    /// refuses to resume (loudly, and correctly) before the canary's
+    /// fold could show.
     pub fn with_canary(canary: DurableCanary) -> Self {
         DurableWorkload {
             canary: Some(canary),
+            shards: if canary == DurableCanary::SkipDelta {
+                1
+            } else {
+                DurableWorkload::default().shards
+            },
             compact_ratio: match canary {
                 // Pod states must live only in the journal.
                 DurableCanary::ForgetPodState => 0,
@@ -207,24 +213,21 @@ impl DurableWorkload {
             } else {
                 DurableWorkload::default().min_compact_wal_bytes
             },
-            chain: canary == DurableCanary::SkipDelta,
             paging: canary == DurableCanary::StalePage,
             ..DurableWorkload::default()
         }
     }
 
     fn config(&self, dir: &Path, paged: bool) -> MultiPlatformConfig {
-        let mut durability = DurabilityConfig {
+        let durability = DurabilityConfig {
             compact_ratio: self.compact_ratio,
             min_compact_wal_bytes: self.min_compact_wal_bytes,
+            chain: (self.canary == Some(DurableCanary::SkipDelta)).then(|| ChainSettings {
+                skip_last_delta: true,
+                ..ChainSettings::default()
+            }),
             ..DurabilityConfig::new(dir)
         };
-        if self.chain {
-            durability.chain = Some(ChainSettings {
-                skip_last_delta: self.canary == Some(DurableCanary::SkipDelta),
-                ..ChainSettings::default()
-            });
-        }
         // Tiny pages and a tight budget so eviction actually bites at
         // this campaign's scale.
         let tree_paging = paged.then(|| PagedConfig {
@@ -305,7 +308,6 @@ impl DurableWorkload {
                 matches!(
                     p,
                     DiskCrashPoint::CorruptWal { .. }
-                        | DiskCrashPoint::CorruptSnapshot { .. }
                         | DiskCrashPoint::CorruptChainRecord { .. }
                         | DiskCrashPoint::CorruptPage { .. }
                 )
@@ -317,6 +319,9 @@ impl DurableWorkload {
 
         let run_dir = root.join("run");
         let mut out = DurableOutcome::default();
+        // Whether any resume so far rebuilt shard state from chain
+        // records: from then on, wrong state is the chain's to explain.
+        let mut chain_rebuilt = false;
         let mut platform = Some(MultiPlatform::new(
             &specs,
             self.config(&run_dir, self.paging),
@@ -371,14 +376,17 @@ impl DurableWorkload {
             match MultiPlatform::resume(&specs, self.config(&run_dir, self.paging)) {
                 Ok((p, report)) => {
                     let r = report.target_round;
+                    chain_rebuilt |= report.shards.iter().any(|s| s.chain.records > 0);
                     let state_ok =
                         r <= self.rounds && self.shard_states(&p) == ref_states[r as usize];
                     let rest_ok = r <= self.rounds
                         && p.export_pod_states() == ref_pods[r as usize]
                         && p.history() == &ref_history[..r as usize];
-                    // Wrong shard state out of a chain-mode rebuild is the
-                    // delta chain's fault specifically, not generic drift.
-                    if !state_ok && self.chain && out.chain_divergence.is_none() {
+                    // Wrong shard state out of a chain rebuild is the
+                    // delta chain's fault specifically, not generic drift
+                    // — unless stale adopted pages explain it.
+                    let chain_blamed = chain_rebuilt && p.page_stats().pages_trusted == 0;
+                    if !state_ok && chain_blamed && out.chain_divergence.is_none() {
                         out.chain_divergence = Some(r);
                     } else if !(state_ok && rest_ok) && out.divergence.is_none() {
                         out.divergence = Some(r);
@@ -406,7 +414,8 @@ impl DurableWorkload {
             let state_ok = self.shard_states(p) == ref_states[self.rounds as usize];
             let rest_ok = p.export_pod_states() == ref_pods[self.rounds as usize]
                 && p.history() == &ref_history[..];
-            if !state_ok && self.chain && out.chain_divergence.is_none() {
+            let chain_blamed = chain_rebuilt && p.page_stats().pages_trusted == 0;
+            if !state_ok && chain_blamed && out.chain_divergence.is_none() {
                 out.chain_divergence = Some(self.rounds);
             } else if !(state_ok && rest_ok) && out.divergence.is_none() {
                 out.divergence = Some(self.rounds);
@@ -508,21 +517,15 @@ fn strip_pod_records(dir: &Path, shards: usize) {
 /// Applies one corruption point to shard `shard`'s on-disk file.
 /// Returns a stable description when the file's bytes actually changed,
 /// `None` when the point was a no-op (absent file, empty journal, no
-/// chain/page files because the mode is off). The requested sector is
-/// folded into the file's real extent so small campaigns still see
-/// mid-file rot.
+/// chain records yet, no page files because paging is off). The
+/// requested sector is folded into the file's real extent so small
+/// campaigns still see mid-file rot.
 fn apply_corruption(dir: &Path, shard: usize, point: &DiskCrashPoint) -> Option<String> {
     let (path, label, sector, kind): (std::path::PathBuf, String, u64, SectorCorruption) =
         match point {
             DiskCrashPoint::CorruptWal { sector, kind } => (
                 dir.join(format!("shard-{shard}")).join("hive.wal"),
                 format!("shard-{shard}/hive.wal"),
-                *sector,
-                *kind,
-            ),
-            DiskCrashPoint::CorruptSnapshot { sector, kind } => (
-                dir.join(format!("shard-{shard}")).join("hive.snap"),
-                format!("shard-{shard}/hive.snap"),
                 *sector,
                 *kind,
             ),
@@ -730,11 +733,10 @@ mod tests {
             ],
             ..FaultPlan::default()
         };
-        // Chain mode for the whole campaign (reference included) plus a
-        // paged campaign against an in-memory reference: equivalence
-        // here is the byte-identity proof for both storage modes.
+        // Aggressive checkpoints for the whole campaign (reference
+        // included) plus a paged campaign against an in-memory reference:
+        // equivalence here is the byte-identity proof for both stores.
         let w = DurableWorkload {
-            chain: true,
             paging: true,
             compact_ratio: 1,
             min_compact_wal_bytes: 1,
@@ -806,7 +808,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let w = DurableWorkload {
-            chain: true,
             compact_ratio: 1,
             min_compact_wal_bytes: 1,
             ..small()

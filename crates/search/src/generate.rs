@@ -47,11 +47,12 @@ pub struct GenConfig {
     /// Generated [`DiskCrashPoint::AtRoundBoundary`] kills land in
     /// rounds `1..=disk_round_horizon` of the durable campaign.
     pub disk_round_horizon: u64,
-    /// Also target the delta-snapshot chain and paged-tree store
-    /// ([`DiskCrashPoint::CorruptChainRecord`] /
+    /// Also target older chain records and the paged-tree store
+    /// ([`DiskCrashPoint::CorruptChainRecord`] at any depth /
     /// [`DiskCrashPoint::CorruptPage`]). Off by default: the wider
     /// variant draw would reshuffle every plan of an existing sweep,
-    /// and the points are no-ops on campaigns without chain/paging.
+    /// and page points are no-ops on campaigns without paging. Chain
+    /// *head* corruption is always in the draw.
     pub store_targets: bool,
 }
 
@@ -75,7 +76,7 @@ impl Default for GenConfig {
 
 impl GenConfig {
     /// Bounds for sweeping the durable multi-program campaign: only
-    /// disk faults (round-boundary kills plus journal/snapshot sector
+    /// disk faults (round-boundary kills plus journal/chain-head sector
     /// corruption) — network-level knobs are inert there and would
     /// only pad plan weight.
     pub fn disk_only(rounds: u64) -> Self {
@@ -186,7 +187,11 @@ pub fn generate_plan(seed: u64, case: u64, cfg: &GenConfig, workload: &Workload)
                     sector: rng.up_to(63),
                     kind: corruption(&mut rng),
                 },
-                2 => DiskCrashPoint::CorruptSnapshot {
+                // Chain-head rot always takes this slot (deeper records
+                // only with `store_targets`), so widening the store
+                // draw never reorders a seeded sweep's RNG draws.
+                2 => DiskCrashPoint::CorruptChainRecord {
+                    back: 0,
                     sector: rng.up_to(7),
                     kind: corruption(&mut rng),
                 },
@@ -307,7 +312,7 @@ mod tests {
     fn disk_only_sweeps_cover_kills_and_both_corruption_targets() {
         let w = Workload::default();
         let cfg = GenConfig::disk_only(5);
-        let (mut kills, mut wal, mut snap) = (0, 0, 0);
+        let (mut kills, mut wal, mut head) = (0, 0, 0);
         for case in 0..256 {
             let p = generate_plan(11, case, &cfg, &w);
             assert!(p.crashes.is_empty() && p.partitions.is_empty());
@@ -320,12 +325,12 @@ mod tests {
                         kills += 1;
                     }
                     DiskCrashPoint::CorruptWal { .. } => wal += 1,
-                    DiskCrashPoint::CorruptSnapshot { .. } => snap += 1,
+                    DiskCrashPoint::CorruptChainRecord { back: 0, .. } => head += 1,
                     other => panic!("unexpected disk point {other:?}"),
                 }
             }
         }
-        assert!(kills > 10 && wal > 10 && snap > 10, "{kills}/{wal}/{snap}");
+        assert!(kills > 10 && wal > 10 && head > 10, "{kills}/{wal}/{head}");
     }
 
     #[test]
@@ -343,7 +348,7 @@ mod tests {
                 assert!(
                     !matches!(
                         d,
-                        DiskCrashPoint::CorruptChainRecord { .. }
+                        DiskCrashPoint::CorruptChainRecord { back: 1.., .. }
                             | DiskCrashPoint::CorruptPage { .. }
                     ),
                     "store target generated while disabled"

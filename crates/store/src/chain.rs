@@ -26,8 +26,7 @@
 //! step), and parent links. The first invalid record ends the lineage —
 //! later records are reported as defects, never applied. If the newest
 //! full itself is damaged, loading falls back to the previous full's
-//! lineage (exactly one is retained, mirroring the two-file snapshot
-//! store's `hive.snap.prev` fallback); if that fails too, the chain
+//! lineage (exactly one is retained); if that fails too, the chain
 //! reports [`ChainSource::None`] and the caller treats the campaign as
 //! cold.
 //!
@@ -816,6 +815,15 @@ mod tests {
         assert_eq!(load.report.source, ChainSource::Fallback);
         assert_eq!(load.report.full_generation, Some(0));
         assert_eq!(load.records.len(), 2);
+        // Both lineages damaged: no lineage, and both fulls reported.
+        let p = dir.join(format!("chain-{:020}.full", 0));
+        fs::write(&p, b"garbage").unwrap();
+        let load = ChainStore::open(&dir).unwrap().load();
+        assert_eq!(load.report.source, ChainSource::None);
+        assert!(load.records.is_empty());
+        for g in [0, 2] {
+            assert!(load.report.defects.iter().any(|d| d.generation == g));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,19 +3,19 @@
 //! state, pod populations (RNG streams, repair-lab corpora, queued
 //! directives), history, and round telemetry all byte-identical to an
 //! uninterrupted run at the same committed round — through journal
-//! replay alone, through snapshot compaction, and through snapshot
-//! corruption with generation fallback.
+//! replay alone, through delta-chain checkpoints, and through
+//! chain-record corruption with lineage fallback.
 
 use softborg::hive::journal::{self, REC_FRAME};
-use softborg::hive::SnapshotSource;
 use softborg::obs::{FlightRecorder, ManualClock, MetricsRegistry, ObsHandles};
 use softborg::pod::PodState;
+use softborg::store::{ChainSource, ChainStore};
 use softborg::{
     DurabilityConfig, DurabilityError, IngestSettings, Platform, PlatformConfig, RoundReport,
 };
 use softborg_ingest::IngestConfig;
 use softborg_program::scenarios;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const ROUNDS: u64 = 5;
@@ -44,7 +44,7 @@ fn config(durability: Option<DurabilityConfig>) -> PlatformConfig {
     }
 }
 
-/// Aggressive compaction so short campaigns exercise the snapshot path.
+/// Aggressive checkpoints so short campaigns exercise the chain path.
 fn compacting(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
         compact_ratio: 2,
@@ -244,19 +244,19 @@ fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
         for _ in 0..ROUNDS {
             p.round(EXECS);
             let wal = p.wal_len().unwrap();
-            let bound = 2 * p.hive_state().len() as u64 + 1024;
+            let bound = 2 * chain_footprint(&dir) + 1024;
             assert!(wal < bound, "journal unbounded: {wal} >= {bound}");
         }
     }
-    assert!(
-        dir.join("hive.snap").exists(),
-        "compaction never wrote a snapshot"
-    );
     let (resumed, report) = Platform::resume(&s.program, config(Some(compacting(dir)))).unwrap();
-    assert_eq!(report.snapshot.source, SnapshotSource::Primary);
+    assert!(
+        report.chain.records > 0,
+        "compaction never wrote a checkpoint"
+    );
+    assert_eq!(report.chain.source, ChainSource::Primary);
     assert!(
         report.rounds_from_snapshot > 0,
-        "resume ignored the snapshot"
+        "resume ignored the checkpoint"
     );
     assert_eq!(resumed.committed_rounds(), ROUNDS);
     assert_eq!(resumed.hive_state(), reference[ROUNDS as usize]);
@@ -265,30 +265,31 @@ fn compaction_bounds_the_journal_and_resume_stays_byte_identical() {
 #[test]
 fn corrupt_primary_snapshot_falls_back_to_a_consistent_generation() {
     let s = scenarios::token_parser();
-    let reference = reference_states(compacting(campaign_dir("fallback-ref")));
+    let reference = reference_states(rebasing(campaign_dir("fallback-ref")));
     let dir = campaign_dir("fallback");
     {
-        let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
+        let mut p = Platform::new(&s.program, config(Some(rebasing(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
     }
-    let snap = dir.join("hive.snap");
-    let prev = dir.join("hive.snap.prev");
+    let fulls = chain_records(&dir, "full");
     assert!(
-        snap.exists() && prev.exists(),
-        "campaign too short to roll two snapshot generations"
+        fulls.len() >= 2,
+        "campaign too short to roll two full chain records"
     );
-    // Media corruption of the newest snapshot, after its swap committed.
-    let mut bytes = std::fs::read(&snap).unwrap();
+    // Media corruption of the newest full record, after its append
+    // committed.
+    let newest = fulls.last().unwrap();
+    let mut bytes = std::fs::read(newest).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    std::fs::write(&snap, bytes).unwrap();
+    std::fs::write(newest, bytes).unwrap();
 
-    let (resumed, report) = Platform::resume(&s.program, config(Some(compacting(dir)))).unwrap();
-    assert_eq!(report.snapshot.source, SnapshotSource::Fallback);
-    assert!(report.snapshot.primary_error.is_some());
+    let (resumed, report) = Platform::resume(&s.program, config(Some(rebasing(dir)))).unwrap();
+    assert_eq!(report.chain.source, ChainSource::Fallback);
+    assert!(!report.chain.defects.is_empty());
     // The journal suffix belongs to rounds after the (destroyed) newest
-    // snapshot; recovery must discard it rather than merge it out of
-    // order onto the older generation.
+    // checkpoint; recovery must discard it rather than merge it out of
+    // order onto the older lineage.
     assert!(report.disconnected_records > 0 || report.rounds_replayed == 0);
     let k = resumed.committed_rounds();
     assert!(k > 0 && k <= ROUNDS);
@@ -337,7 +338,7 @@ fn uncommitted_partial_round_is_fenced_and_corrupt_tail_is_dropped() {
 
 #[test]
 fn sector_corruption_is_scrubbed_never_silently_accepted() {
-    use softborg::hive::{FileScrub, WalScrubAction};
+    use softborg::hive::WalScrubAction;
     use softborg::netsim::{SectorCorruption, SECTOR_BYTES};
     let s = scenarios::token_parser();
 
@@ -376,26 +377,33 @@ fn sector_corruption_is_scrubbed_never_silently_accepted() {
     // A second scrub finds nothing: the repair is durable.
     assert!(Platform::scrub(&cfg()).unwrap().is_clean());
 
-    // Snapshot bit rot: the primary generation is quarantined and
-    // recovery proceeds from the previous generation.
-    let reference = reference_states(compacting(campaign_dir("scrub-snap-ref")));
-    let dir = campaign_dir("scrub-snap");
+    // Chain-record bit rot: the newest full record is quarantined and
+    // recovery proceeds from the previous full's lineage.
+    let reference = reference_states(rebasing(campaign_dir("scrub-chain-ref")));
+    let dir = campaign_dir("scrub-chain");
     {
-        let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
+        let mut p = Platform::new(&s.program, config(Some(rebasing(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
     }
-    let snap = dir.join("hive.snap");
-    assert!(dir.join("hive.snap.prev").exists(), "need two generations");
-    let mut bytes = std::fs::read(&snap).unwrap();
+    let fulls = chain_records(&dir, "full");
+    assert!(fulls.len() >= 2, "need two full records");
+    let newest = fulls.last().unwrap();
+    let mut bytes = std::fs::read(newest).unwrap();
     assert!(SectorCorruption::TornWrite { keep_bytes: 17 }.apply(&mut bytes, 0));
-    std::fs::write(&snap, &bytes).unwrap();
-    let cfg = || config(Some(compacting(dir.clone())));
+    std::fs::write(newest, &bytes).unwrap();
+    let cfg = || config(Some(rebasing(dir.clone())));
     let report = Platform::scrub(&cfg()).unwrap();
-    assert!(matches!(report.primary, FileScrub::Quarantined { .. }));
-    assert_eq!(report.fallback, FileScrub::Clean);
-    assert!(dir.join("hive.snap.quarantined").exists());
+    assert!(!report.chain.quarantined.is_empty(), "{report:?}");
+    let mut quarantined = newest.clone().into_os_string();
+    quarantined.push(".quarantined");
+    assert!(PathBuf::from(quarantined).exists());
+    // With the newest full moved aside, the previous full's lineage is
+    // the chain's only one: resume adopts it, and finds nothing damaged.
+    let older = &fulls[fulls.len() - 2];
+    assert_eq!(chain_records(&dir, "full").last(), Some(older));
     let (resumed, rep) = Platform::resume(&s.program, cfg()).unwrap();
-    assert_eq!(rep.snapshot.source, SnapshotSource::Fallback);
+    assert!(rep.chain.is_clean(), "{:?}", rep.chain);
+    assert!(rep.chain.records > 0);
     let k = resumed.committed_rounds();
     assert!(k > 0 && k <= ROUNDS);
     assert_eq!(resumed.hive_state(), reference[k as usize]);
@@ -407,7 +415,7 @@ fn fresh_directory_resumes_into_a_cold_start() {
     let dir = campaign_dir("cold");
     let (mut p, report) =
         Platform::resume(&s.program, config(Some(DurabilityConfig::new(dir)))).unwrap();
-    assert_eq!(report.snapshot.source, SnapshotSource::None);
+    assert_eq!(report.chain.source, ChainSource::None);
     assert_eq!(report.rounds_from_snapshot + report.rounds_replayed, 0);
     assert_eq!(p.committed_rounds(), 0);
     p.round(EXECS);
@@ -469,32 +477,65 @@ fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
     assert_eq!(from_serial.history(), from_piped.history());
 }
 
-/// Delta-snapshot chains under the aggressive compaction policy, so
+/// Delta-snapshot chains under the aggressive checkpoint policy, so
 /// short campaigns append real delta records.
-fn chained(dir: PathBuf) -> DurabilityConfig {
+fn eager_chain(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
-        chain: Some(softborg::ChainSettings::default()),
         compact_ratio: 1,
         min_compact_wal_bytes: 1,
         ..DurabilityConfig::new(dir)
     }
 }
 
+/// [`eager_chain`], rebasing once the deltas reach one full record's size,
+/// so a short campaign rolls a second full record: a fallback lineage.
+fn rebasing(dir: PathBuf) -> DurabilityConfig {
+    DurabilityConfig {
+        chain: Some(softborg::ChainSettings {
+            rebase_ratio: 1,
+            ..softborg::ChainSettings::default()
+        }),
+        ..eager_chain(dir)
+    }
+}
+
+/// The campaign's chain record files with extension `ext` (`"full"` or
+/// `"delta"`), oldest first.
+fn chain_records(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let mut records: Vec<PathBuf> = std::fs::read_dir(dir.join("chain"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == ext))
+        .collect();
+    records.sort();
+    records
+}
+
+/// Payload bytes the checkpoint trigger compares the journal against:
+/// the chain's newest full record plus every delta since.
+fn chain_footprint(dir: &Path) -> u64 {
+    let chain = ChainStore::open(&dir.join("chain")).unwrap();
+    chain.last_full_payload_bytes() + chain.delta_payload_bytes_since_full()
+}
+
 #[test]
 fn chained_kill_at_every_round_boundary_is_process_equivalent() {
-    // The reference runs the *classic* full-snapshot store and is never
-    // killed; a delta-chain resume must land on the same states, pods,
-    // and continuation — the cross-mode byte-identity proof.
+    // The reference runs the default checkpoint policy and is never
+    // killed; a resume out of an aggressively checkpointed chain must
+    // land on the same states, pods, and continuation — the
+    // cross-policy byte-identity proof.
     let s = scenarios::token_parser();
     let r = full_reference(DurabilityConfig::new(campaign_dir("chain-ref")));
     for k in 1..=ROUNDS {
         let dir = campaign_dir(&format!("chain-{k}"));
         {
-            let mut p = Platform::new(&s.program, config(Some(chained(dir.clone()))));
+            let mut p = Platform::new(&s.program, config(Some(eager_chain(dir.clone()))));
             p.run(k as u32, EXECS);
         } // drop = kill
-        let (resumed, report) = Platform::resume(&s.program, config(Some(chained(dir)))).unwrap();
-        let chain = report.chain.expect("chain-mode resume reports its walk");
+        let (resumed, report) =
+            Platform::resume(&s.program, config(Some(eager_chain(dir)))).unwrap();
+        let chain = report.chain;
+        assert!(chain.records > 0, "resume never read the chain");
         assert!(
             chain.defects.is_empty(),
             "clean chain had defects: {chain:?}"
@@ -515,12 +556,12 @@ fn chain_compaction_appends_deltas_instead_of_rewriting_snapshots() {
     let s = scenarios::token_parser();
     let dir = campaign_dir("chain-deltas");
     {
-        let mut p = Platform::new(&s.program, config(Some(chained(dir.clone()))));
+        let mut p = Platform::new(&s.program, config(Some(eager_chain(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
     }
     assert!(
-        !dir.join("hive.snap").exists(),
-        "chain mode must not write the classic snapshot"
+        !dir.join("hive.snap").exists() && !dir.join("hive.snap.prev").exists(),
+        "nothing may write the retired two-generation snapshot"
     );
     let mut fulls: Vec<u64> = Vec::new();
     let mut deltas: Vec<u64> = Vec::new();
@@ -545,20 +586,51 @@ fn chain_compaction_appends_deltas_instead_of_rewriting_snapshots() {
 
 #[test]
 fn chain_mode_refuses_a_legacy_full_snapshot_campaign() {
+    use softborg::hive::HiveSnapshot;
     let s = scenarios::token_parser();
-    let dir = campaign_dir("chain-legacy");
-    {
-        let mut p = Platform::new(&s.program, config(Some(compacting(dir.clone()))));
-        p.run(ROUNDS as u32, EXECS);
-    }
-    assert!(dir.join("hive.snap").exists(), "need a legacy snapshot");
-    // A chain-mode resume over a full-snapshot campaign would silently
-    // cold-start (the chain never reads `hive.snap`); it must refuse.
-    match Platform::resume(&s.program, config(Some(chained(dir)))) {
-        Err(DurabilityError::Corrupt(msg)) => {
-            assert!(msg.contains("legacy"), "unhelpful refusal: {msg}");
+    // A campaign directory an older build left behind: a two-generation
+    // `hive.snap` store next to its journal, and no chain. The writer is
+    // gone, so the legacy files are written by hand.
+    let legacy = |tag: &str, file: &str| {
+        let dir = campaign_dir(tag);
+        {
+            let mut p = Platform::new(&s.program, config(Some(DurabilityConfig::new(dir.clone()))));
+            p.run(2, EXECS);
         }
-        other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
+        std::fs::remove_dir_all(dir.join("chain")).unwrap();
+        let snap = HiveSnapshot {
+            state: b"legacy hive state".to_vec(),
+            sessions: Default::default(),
+            wal_covered: 0,
+            wal_covered_hash: 0,
+            app_meta: Vec::new(),
+        };
+        std::fs::write(dir.join(file), snap.encode()).unwrap();
+        dir
+    };
+    for file in ["hive.snap", "hive.snap.prev"] {
+        let dir = legacy(&format!("chain-legacy-{file}"), file);
+        let cfg = || config(Some(eager_chain(dir.clone())));
+        // Resuming would silently cold-start (the chain is empty); it
+        // must refuse, and so must a scrub and a fresh start.
+        match Platform::resume(&s.program, cfg()) {
+            Err(DurabilityError::Corrupt(msg)) => {
+                assert!(msg.contains("legacy"), "unhelpful refusal: {msg}");
+            }
+            other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
+        }
+        match Platform::scrub(&cfg()) {
+            Err(DurabilityError::Corrupt(msg)) => {
+                assert!(msg.contains("legacy"), "unhelpful refusal: {msg}");
+            }
+            other => panic!("expected Corrupt refusal, got {other:?}"),
+        }
+        std::fs::write(dir.join("hive.wal"), b"").unwrap();
+        match Platform::try_new(&s.program, cfg()) {
+            Err(DurabilityError::CampaignExists(_)) => {}
+            other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
+        }
+        assert!(dir.join(file).exists(), "the legacy campaign was touched");
     }
 }
 
@@ -606,7 +678,7 @@ fn chained_paged_resume_composes_with_both_stores() {
     let dir = campaign_dir("chain-page");
     let cfg = |d: PathBuf| PlatformConfig {
         tree_paging: Some(PagedConfig::new(&d.join("pages"), 8, 2)),
-        ..config(Some(chained(d)))
+        ..config(Some(eager_chain(d)))
     };
     let kill = 2u64;
     {
@@ -614,7 +686,7 @@ fn chained_paged_resume_composes_with_both_stores() {
         p.run(kill as u32, EXECS);
     } // drop = kill
     let (mut resumed, report) = Platform::resume(&s.program, cfg(dir)).unwrap();
-    assert!(report.chain.is_some());
+    assert!(report.chain.records > 0);
     assert_eq!(resumed.committed_rounds(), kill);
     assert_eq!(resumed.hive_state(), r.states[kill as usize]);
     resumed.run((ROUNDS - kill) as u32, EXECS);

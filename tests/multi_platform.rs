@@ -4,7 +4,10 @@
 //! byte-identical to the uninterrupted run at the recovered committed
 //! round (the minimum across shards).
 
-use softborg::{DurabilityConfig, FleetSpec, MultiPlatform, MultiPlatformConfig, MultiRoundReport};
+use softborg::{
+    DurabilityConfig, DurabilityError, FleetSpec, MultiPlatform, MultiPlatformConfig,
+    MultiRoundReport,
+};
 use softborg_program::scenarios::{self, Scenario};
 use std::path::PathBuf;
 
@@ -52,7 +55,7 @@ fn campaign_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Aggressive compaction so short campaigns exercise the snapshot path.
+/// Aggressive checkpoints so short campaigns exercise the chain path.
 fn compacting(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
         compact_ratio: 2,
@@ -63,8 +66,8 @@ fn compacting(dir: PathBuf) -> DurabilityConfig {
 
 /// Compaction disabled: used by the torn-phase-A test, whose simulated
 /// crash (a journal tail lost *after* the process exited) is only a
-/// state the two-phase protocol can produce if no shard compacted the
-/// final round into a snapshot.
+/// state the two-phase protocol can produce if no shard checkpointed the
+/// final round into its chain.
 fn no_compaction(dir: PathBuf) -> DurabilityConfig {
     DurabilityConfig {
         compact_ratio: 0,
@@ -237,25 +240,23 @@ fn shard_compaction_composes_with_resume() {
     {
         let mut p = MultiPlatform::new(&specs(&scs), config(Some(compacting(dir.clone()))));
         p.run(ROUNDS as u32, EXECS);
-        // Force at least one snapshot generation on every shard so the
-        // snapshot path is exercised even for lightly-loaded shards.
-        p.checkpoint().unwrap();
-    }
-    for shard in 0..N_SHARDS {
-        assert!(
-            dir.join(format!("shard-{shard}"))
-                .join("hive.snap")
-                .exists(),
-            "shard {shard} never wrote a snapshot"
-        );
+        // Force at least one chain record on every shard so the
+        // checkpoint path is exercised even for lightly-loaded shards.
+        let written = p.checkpoint().unwrap();
+        assert!(written > 0, "an on-demand checkpoint wrote nothing");
     }
     let (resumed, report) =
         MultiPlatform::resume(&specs(&scs), config(Some(compacting(dir)))).unwrap();
     assert_eq!(report.target_round, ROUNDS);
     for sr in &report.shards {
         assert!(
+            sr.chain.records > 0,
+            "shard {} never checkpointed",
+            sr.shard
+        );
+        assert!(
             sr.rounds_from_snapshot > 0,
-            "shard {} resume ignored its snapshot",
+            "shard {} resume ignored its checkpoint",
             sr.shard
         );
     }
@@ -324,15 +325,14 @@ fn crash_between_shard_fsyncs_rolls_back_to_the_minimum_committed_round() {
 #[test]
 fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
     use softborg::store::PagedConfig;
-    use softborg::ChainSettings;
     let scs = fleet_scenarios();
-    // Classic-store, never-killed reference: the chained + paged fleet
-    // must be indistinguishable from it at every recovered round.
+    // Default-policy, never-killed reference: the aggressively
+    // checkpointed, paged fleet must be indistinguishable from it at
+    // every recovered round.
     let (reference, ref_history) = reference_run(DurabilityConfig::new(campaign_dir("cp-ref")));
     let cfg = |dir: PathBuf| MultiPlatformConfig {
         tree_paging: Some(PagedConfig::new(&dir.join("pages"), 8, 2)),
         ..config(Some(DurabilityConfig {
-            chain: Some(ChainSettings::default()),
             compact_ratio: 1,
             min_compact_wal_bytes: 1,
             ..DurabilityConfig::new(dir)
@@ -348,8 +348,8 @@ fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
         assert_eq!(report.target_round, k, "lost rounds at kill {k}");
         for sr in &report.shards {
             assert!(
-                sr.chain.is_some(),
-                "shard {} resumed without walking its chain",
+                sr.chain.records > 0,
+                "shard {} resumed without folding its chain",
                 sr.shard
             );
         }
@@ -357,7 +357,7 @@ fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
             assert_eq!(
                 &resumed.shard_state(shard),
                 expected,
-                "shard {shard} diverged from the classic-store reference at round {k}"
+                "shard {shard} diverged from the default-policy reference at round {k}"
             );
         }
         // The continuation replays the reference byte for byte, paging
@@ -371,4 +371,49 @@ fn chained_paged_fleet_resumes_process_equivalent_across_shards() {
         assert_eq!(stats.pages_trusted, 0, "clean fleet adopted stale pages");
         assert!(stats.total_pages > 0, "paging never engaged: {stats:?}");
     }
+}
+
+#[test]
+fn legacy_shard_snapshot_is_refused_never_cold_started() {
+    use softborg::hive::HiveSnapshot;
+    let scs = fleet_scenarios();
+    let dir = campaign_dir("legacy");
+    {
+        let mut p = MultiPlatform::new(&specs(&scs), config(Some(compacting(dir.clone()))));
+        p.run(2, EXECS);
+    }
+    // One shard directory looks like an older build's: a hand-written
+    // two-generation `hive.snap` store and no chain.
+    let shard = dir.join("shard-1");
+    std::fs::remove_dir_all(shard.join("chain")).unwrap();
+    let snap = HiveSnapshot {
+        state: b"legacy hive state".to_vec(),
+        sessions: Default::default(),
+        wal_covered: 0,
+        wal_covered_hash: 0,
+        app_meta: Vec::new(),
+    };
+    std::fs::write(shard.join("hive.snap.prev"), snap.encode()).unwrap();
+    let cfg = || config(Some(compacting(dir.clone())));
+    match MultiPlatform::resume(&specs(&scs), cfg()) {
+        Err(DurabilityError::Corrupt(msg)) => {
+            assert!(msg.contains("shard 1") && msg.contains("legacy"), "{msg}");
+        }
+        other => panic!("expected Corrupt refusal, got {:?}", other.map(|_| ())),
+    }
+    match MultiPlatform::scrub(&cfg()) {
+        Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("legacy"), "{msg}"),
+        other => panic!("expected Corrupt refusal, got {other:?}"),
+    }
+    // A fresh start refuses too, even with every journal emptied.
+    for i in 0..N_SHARDS {
+        let d = dir.join(format!("shard-{i}"));
+        std::fs::write(d.join("hive.wal"), b"").unwrap();
+        let _ = std::fs::remove_dir_all(d.join("chain"));
+    }
+    match MultiPlatform::try_new(&specs(&scs), cfg()) {
+        Err(DurabilityError::CampaignExists(d)) => assert_eq!(d, shard),
+        other => panic!("expected CampaignExists, got {:?}", other.map(|_| ())),
+    }
+    assert!(shard.join("hive.snap.prev").exists());
 }
