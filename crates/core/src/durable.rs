@@ -1,14 +1,16 @@
 //! One durable hive's on-disk store: a write-ahead journal (`hive.wal`)
 //! plus a delta-snapshot chain (`chain/`) of checkpoint records.
 //!
-//! [`Platform`](crate::Platform) keeps one [`ShardStore`] rooted at its
-//! durability directory; [`MultiPlatform`](crate::MultiPlatform) keeps
-//! one per `shard-<i>/` subdirectory. Everything the two platforms do to
+//! A durable [`Campaign`] holds one [`ShardStore`]: the
+//! [`Platform`](crate::Platform)'s is rooted at its durability
+//! directory, and a [`MultiPlatform`](crate::MultiPlatform) keeps one
+//! per `shard-<i>/` subdirectory. Everything the two platforms do to
 //! their files lives here — opening a fresh campaign, folding the chain
-//! back into hive state, scanning the journal suffix, deciding when to
-//! checkpoint, appending the checkpoint, and scrubbing. What the journal
-//! *records mean* (frames, promotions, pod images, round reports) stays
-//! with each platform, because their round records differ.
+//! back into hive state, scanning the journal suffix, journaling a
+//! committed round, deciding when to checkpoint, appending the
+//! checkpoint, and scrubbing. What the record *bodies* hold (promotions,
+//! pod images, round reports) stays with each platform, because their
+//! round records differ.
 //!
 //! Every checkpoint is one chain record whose payload is a
 //! [`HiveSnapshot`]: a full record holds the whole hive state, a delta
@@ -16,10 +18,14 @@
 //! metadata (session floors, journal coverage, application meta), so the
 //! chain head alone says where journal replay starts.
 
+use crate::fleet::Frame;
 use crate::platform::{io_err, DurabilityConfig, DurabilityError};
-use softborg_hive::journal::{self, JournalRecord};
+use softborg_hive::journal::{
+    self, JournalRecord, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, SESSION_PROMOTE,
+    SESSION_ROUND,
+};
 use softborg_hive::{scrub_campaign, FileJournal, HiveSnapshot, JournalStore, ScrubReport};
-use softborg_obs::FlightRecorder;
+use softborg_obs::{FlightRecorder, ObsHandles, SpanTimer};
 use softborg_store::{ChainReport, ChainStore, RecordKind};
 use softborg_trace::wire;
 use std::collections::BTreeMap;
@@ -301,5 +307,92 @@ impl ShardStore {
             self.journal.truncate(0)?;
         }
         Ok(payload.len() as u64)
+    }
+}
+
+/// The live half of a durable campaign: one store per shard (a
+/// [`Platform`](crate::Platform) has one) and the bookkeeping replay
+/// needs.
+#[derive(Debug)]
+pub(crate) struct Campaign {
+    /// The stores, in shard order.
+    pub(crate) stores: Vec<ShardStore>,
+    /// Next sequence number for `REC_PROMOTE` records (global across
+    /// shards, so promotion order is totally ordered).
+    pub(crate) promote_seq: u64,
+    /// Per-session frame floors (`session → next seq`), carried into
+    /// checkpoints so transports resuming against this campaign can
+    /// deduplicate across the restart.
+    pub(crate) frame_floors: BTreeMap<u64, u64>,
+}
+
+impl Campaign {
+    /// A campaign over `stores` with nothing journaled yet.
+    pub(crate) fn new(stores: Vec<ShardStore>) -> Self {
+        Campaign {
+            stores,
+            promote_seq: 0,
+            frame_floors: BTreeMap::new(),
+        }
+    }
+
+    /// Phase A of a round commit: appends the round's frames in merge
+    /// order `(session, seq)` (raising their floors), promotions and pod
+    /// populations, each to its shard's journal, and the round record
+    /// (`round` and its encoded report) to **every** journal; then
+    /// fsyncs them all under the `hive.fsync_ns` span (the returned time
+    /// is 0 without a registry). The round is acked only after every
+    /// fsync: a crash between them leaves some shards one round ahead,
+    /// which resume truncates back.
+    ///
+    /// # Errors
+    ///
+    /// [`DurabilityError::Io`] when an append or fsync fails.
+    pub(crate) fn journal_round(
+        &mut self,
+        mut frames: Vec<(usize, Frame)>,
+        promotions: Vec<(usize, Vec<u8>)>,
+        pods: &[(usize, u64, &[u8])],
+        (round, report): (u64, &[u8]),
+        obs: &ObsHandles,
+    ) -> Result<u64, DurabilityError> {
+        frames.sort_by_key(|&(_, (session, seq, _))| (session, seq));
+        let mut rec = Vec::new();
+        for (shard, (session, seq, bytes)) in &frames {
+            rec.clear();
+            journal::append_record(&mut rec, REC_FRAME, *session, *seq, bytes);
+            self.stores[*shard].journal.append(&rec)?;
+            let floor = self.frame_floors.entry(*session).or_insert(0);
+            *floor = (*floor).max(seq + 1);
+        }
+        for (shard, body) in &promotions {
+            rec.clear();
+            journal::append_record(
+                &mut rec,
+                REC_PROMOTE,
+                SESSION_PROMOTE,
+                self.promote_seq,
+                body,
+            );
+            self.promote_seq += 1;
+            self.stores[*shard].journal.append(&rec)?;
+        }
+        for (shard, session, body) in pods {
+            rec.clear();
+            journal::append_record(&mut rec, REC_PODS, *session, round, body);
+            self.stores[*shard].journal.append(&rec)?;
+        }
+        rec.clear();
+        journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, round, report);
+        for store in &mut self.stores {
+            store.journal.append(&rec)?;
+        }
+        let clock = obs.span_clock();
+        let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
+        let fsync_span = SpanTimer::start_if(clock.as_ref(), &fsync_hist);
+        for store in &mut self.stores {
+            store.journal.sync()?;
+        }
+        Ok(fsync_span.map_or(0, SpanTimer::stop))
     }
 }

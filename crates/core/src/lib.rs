@@ -56,9 +56,11 @@
 #![warn(missing_docs)]
 
 mod durable;
+mod fleet;
 pub mod multi;
 pub mod platform;
 
+pub use fleet::{ExecCounts, PodBatcher};
 pub use multi::{
     FleetSpec, LaneTask, MultiDrivenExecution, MultiPlatform, MultiPlatformConfig,
     MultiResumeReport, MultiRoundReport, ProgramRoundReport, ShardResumeReport,

@@ -20,30 +20,29 @@
 //! got ahead (those rounds were never acked). The recovered per-shard
 //! state is byte-identical to an uninterrupted run at the same committed
 //! round.
+//!
+//! The round stages — the pod loop, the fix pipeline, guidance dispatch,
+//! round telemetry and the journal segment scan — are the ones
+//! [`Platform`](crate::Platform) runs, written once in the private
+//! `fleet` module (`fleet.rs`): a multi-platform is one fleet per program
+//! over a [`ShardedHive`]. What is its own here is the sharded hive and
+//! ingest, the journal record bodies (session = lane, promotions carry
+//! their program id) and the recovery policy above.
 
-use crate::durable::{Recovery, ShardStore};
+use crate::durable::{Campaign, Recovery, ShardStore};
+use crate::fleet::{self, ExecCounts, Fleet, FrameLog, Promotion, SegmentScan};
 use crate::platform::{
-    decode_pod_states, encode_pod_states, io_err, restore_pod_states, CommitStats,
-    DurabilityConfig, DurabilityError, IngestSettings, RoundTelemetry,
+    decode_pod_states, encode_pod_states, io_err, restore_pod_states, DurabilityConfig,
+    DurabilityError, IngestSettings, RoundTelemetry,
 };
-use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Verdict};
-use softborg_guidance::Directive;
-use softborg_hive::journal::{
-    self, JournalRecord, REC_ABORT, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE,
-    SESSION_PROMOTE, SESSION_ROUND,
-};
-use softborg_hive::{
-    outcome_signature, scrub_page_dir, HiveConfig, JournalStore, PageScrub, ScrubReport,
-};
-use softborg_obs::{ObsHandles, SpanTimer};
+use softborg_hive::{scrub_page_dir, HiveConfig, JournalStore, PageScrub, ScrubReport};
+use softborg_obs::ObsHandles;
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
 use softborg_program::{Program, ProgramId};
 use softborg_shard::{ShardRunStats, ShardedHive};
 use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
-use softborg_trace::wire;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// One program's fleet specification: the program plus the pod template
 /// its population is built from (each pod gets a derived seed).
@@ -228,29 +227,6 @@ pub struct MultiResumeReport {
     pub shards: Vec<ShardResumeReport>,
 }
 
-/// A round's durable frame log: `(lane, seq, frame)` triples mirrored
-/// from the sharded ingest path, shared across pod threads.
-type FrameLog = Mutex<Vec<(u64, u64, Vec<u8>)>>;
-
-/// The live durable half of a multi-program campaign.
-#[derive(Debug)]
-struct MultiDurableState {
-    /// One journal + chain per shard, in shard order.
-    shards: Vec<ShardStore>,
-    /// Next sequence number for `REC_PROMOTE` records (global across
-    /// shards, so promotion order is totally ordered).
-    promote_seq: u64,
-    /// Per-lane frame floors (`lane → next seq`), checkpointed per shard.
-    frame_floors: BTreeMap<u64, u64>,
-}
-
-/// One program's fleet: the program, its lane, and its pods.
-struct Fleet<'p> {
-    id: ProgramId,
-    program: &'p Program,
-    pods: Vec<Pod<'p>>,
-}
-
 /// One fleet's slice of work handed to a
 /// [`MultiPlatform::round_driven`] driver.
 #[derive(Debug)]
@@ -267,9 +243,9 @@ pub struct LaneTask<'a, 'p> {
 /// [`MultiPlatform::round_driven`] round.
 #[derive(Debug, Default)]
 pub struct MultiDrivenExecution {
-    /// `(executions, failures, directed)` per lane, in lane order — one
-    /// entry per [`LaneTask`] handed to the driver.
-    pub per_lane: Vec<(u64, u64, u64)>,
+    /// Executions, failures and directed runs per lane, in lane order —
+    /// one entry per [`LaneTask`] handed to the driver.
+    pub per_lane: Vec<ExecCounts>,
     /// Every wire-encoded batch frame produced, as `(lane, seq, frame)`
     /// in the same layout [`MultiPlatform::round`] journals.
     pub frames: Vec<(u64, u64, Vec<u8>)>,
@@ -286,7 +262,7 @@ pub struct MultiPlatform<'p> {
     history: Vec<MultiRoundReport>,
     telemetry: Vec<RoundTelemetry>,
     last_run: Option<ShardRunStats>,
-    durable: Option<MultiDurableState>,
+    durable: Option<Campaign>,
 }
 
 impl<'p> MultiPlatform<'p> {
@@ -302,22 +278,13 @@ impl<'p> MultiPlatform<'p> {
             .iter()
             .enumerate()
             .map(|(lane, spec)| {
-                let pods = (0..config.n_pods)
-                    .map(|i| {
-                        let mut pc = spec.pod.clone();
-                        pc.seed = config
-                            .seed
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add((lane as u64) << 20)
-                            .wrapping_add(u64::from(i) + 1);
-                        Pod::new(spec.program, pc)
-                    })
-                    .collect();
-                Fleet {
-                    id: spec.program.id(),
-                    program: spec.program,
-                    pods,
-                }
+                Fleet::new(
+                    spec.program,
+                    &spec.pod,
+                    config.n_pods,
+                    config.seed,
+                    lane as u64,
+                )
             })
             .collect();
         MultiPlatform {
@@ -379,11 +346,7 @@ impl<'p> MultiPlatform<'p> {
             let shards = (0..platform.sharded.n_shards())
                 .map(|i| ShardStore::create(shard_dir(dcfg, i), dcfg))
                 .collect::<Result<_, _>>()?;
-            platform.durable = Some(MultiDurableState {
-                shards,
-                promote_seq: 0,
-                frame_floors: BTreeMap::new(),
-            });
+            platform.durable = Some(Campaign::new(shards));
         }
         Ok(platform)
     }
@@ -453,27 +416,14 @@ impl<'p> MultiPlatform<'p> {
                 .transpose()?;
             let snap_round = meta.as_ref().map_or(0, |m| m.0);
             let mut committed = snap_round;
-            for rec in &recovery.records {
-                match rec.kind {
-                    REC_ROUND => {
-                        let mut r = codec::Reader::new(&rec.frame);
-                        let report = MultiRoundReport::decode(&mut r)
-                            .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
-                        if report.round != committed {
-                            // Disconnected suffix (the chain fell back
-                            // to an older record); nothing past here
-                            // counts.
-                            break;
-                        }
-                        committed += 1;
-                    }
-                    REC_FRAME | REC_PROMOTE | REC_PODS | REC_TOMBSTONE | REC_ABORT => {}
-                    other => {
-                        return Err(DurabilityError::Corrupt(format!(
-                            "unknown journal record kind {other}"
-                        )));
-                    }
+            let mut scan = SegmentScan::new(&recovery.records, recovery.replay_from);
+            while let Some(seg) = scan.next_round(MultiRoundReport::decode)? {
+                if seg.report.round != committed {
+                    // Disconnected suffix (the chain fell back to an
+                    // older record); nothing past here counts.
+                    break;
                 }
+                committed += 1;
             }
             scans.push(ShardScan {
                 store,
@@ -515,117 +465,67 @@ impl<'p> MultiPlatform<'p> {
                 }
             }
             let mut rounds_applied = snap_round;
-            let mut seg_frames: Vec<&JournalRecord> = Vec::new();
-            let mut seg_promotes: Vec<&JournalRecord> = Vec::new();
-            let mut seg_pods: BTreeMap<u64, &JournalRecord> = BTreeMap::new();
-            let mut offset = sc.recovery.replay_from;
+            let mut scan = SegmentScan::new(&sc.recovery.records, sc.recovery.replay_from);
             // End of the last fully-applied round (the truncation
-            // boundary if anything uncommitted follows).
-            let mut boundary = sc.recovery.replay_from;
-            let mut applied_records = 0usize;
-            for (idx, rec) in sc.recovery.records.iter().enumerate() {
-                if rounds_applied == target {
+            // boundary if anything uncommitted follows): byte offset and
+            // record index.
+            let mut boundary = scan.open_start();
+            while rounds_applied < target {
+                let Some(seg) = scan.next_round(MultiRoundReport::decode)? else {
+                    boundary = scan.open_start();
                     break;
+                };
+                if seg.report.round != rounds_applied {
+                    boundary = seg.start;
+                    break; // disconnected: truncated below
                 }
-                let rec_end = offset + rec.encoded_len();
-                match rec.kind {
-                    REC_FRAME => seg_frames.push(rec),
-                    REC_PROMOTE => seg_promotes.push(rec),
-                    REC_PODS => {
-                        seg_pods.insert(rec.session, rec);
-                    }
-                    REC_TOMBSTONE => {}
-                    REC_ABORT => {
-                        // Fenced by an earlier recovery: never apply.
-                        seg_frames.clear();
-                        seg_promotes.clear();
-                        seg_pods.clear();
-                        boundary = rec_end;
-                        applied_records = idx + 1;
-                    }
-                    REC_ROUND => {
-                        let mut r = codec::Reader::new(&rec.frame);
-                        let report = MultiRoundReport::decode(&mut r)
-                            .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
-                        if report.round != rounds_applied {
-                            break; // disconnected: truncated below
-                        }
-                        seg_frames.sort_by_key(|r| (r.session, r.seq));
-                        for fr in seg_frames.drain(..) {
-                            let lane = usize::try_from(fr.session)
-                                .ok()
-                                .filter(|&l| l < lanes.len());
-                            let Some(lane) = lane else {
-                                return Err(DurabilityError::Corrupt(format!(
-                                    "frame record on unknown lane {}",
-                                    fr.session
-                                )));
-                            };
-                            let traces = wire::decode_batch(&fr.frame).map_err(|e| {
-                                DurabilityError::Corrupt(format!("frame batch: {e}"))
-                            })?;
-                            let hive = platform
-                                .sharded
-                                .hive_mut(lanes[lane])
-                                .expect("lane program is placed");
-                            for trace in &traces {
-                                hive.ingest(trace);
-                            }
-                            let floor = frame_floors.entry(fr.session).or_insert(0);
-                            *floor = (*floor).max(fr.seq + 1);
-                        }
-                        for pr in seg_promotes.drain(..) {
-                            let mut r = codec::Reader::new(&pr.frame);
-                            let program = ProgramId(
-                                r.u64("promote.program")
-                                    .map_err(|e| DurabilityError::Corrupt(e.to_string()))?,
-                            );
-                            let signature = r
-                                .str("promote.signature")
-                                .map_err(|e| DurabilityError::Corrupt(e.to_string()))?
-                                .to_string();
-                            let overlay = softborg_program::Overlay::decode(&mut r)
-                                .map_err(|e| DurabilityError::Corrupt(e.to_string()))?;
-                            platform
-                                .sharded
-                                .hive_mut(program)
-                                .map_err(|e| {
-                                    DurabilityError::Corrupt(format!("promote record: {e}"))
-                                })?
-                                .promote(
-                                    &signature,
-                                    &FixCandidate {
-                                        overlay,
-                                        description: String::new(),
-                                    },
-                                );
-                            promote_seq = promote_seq.max(pr.seq + 1);
-                        }
-                        if platform.config.guidance_enabled {
-                            for id in platform.sharded.map().programs_on(shard) {
-                                let _ = platform
-                                    .sharded
-                                    .hive_mut(id)
-                                    .expect("placed program")
-                                    .guidance();
-                            }
-                        }
-                        for (lane, pr) in std::mem::take(&mut seg_pods) {
-                            lane_pod_states.insert(lane, decode_pod_states(&pr.frame)?);
-                        }
-                        rounds_applied += 1;
-                        history.push(report);
-                        boundary = rec_end;
-                        applied_records = idx + 1;
-                    }
-                    other => {
-                        return Err(DurabilityError::Corrupt(format!(
-                            "unknown journal record kind {other}"
-                        )));
+                let sharded = &mut platform.sharded;
+                seg.replay_frames(&mut frame_floors, |session, traces| {
+                    let lane = usize::try_from(session)
+                        .ok()
+                        .filter(|&l| l < lanes.len())
+                        .ok_or_else(|| {
+                            DurabilityError::Corrupt(format!(
+                                "frame record on unknown lane {session}"
+                            ))
+                        })?;
+                    let hive = sharded
+                        .hive_mut(lanes[lane])
+                        .expect("lane program is placed");
+                    traces.iter().for_each(|t| hive.ingest(t));
+                    Ok(())
+                })?;
+                for pr in &seg.promotes {
+                    let mut r = codec::Reader::new(&pr.frame);
+                    let program = ProgramId(
+                        r.u64("promote.program")
+                            .map_err(|e| DurabilityError::Corrupt(e.to_string()))?,
+                    );
+                    let (signature, fix) = fleet::decode_promotion(&mut r)?;
+                    platform
+                        .sharded
+                        .hive_mut(program)
+                        .map_err(|e| DurabilityError::Corrupt(format!("promote record: {e}")))?
+                        .promote(&signature, &fix);
+                    promote_seq = promote_seq.max(pr.seq + 1);
+                }
+                if platform.config.guidance_enabled {
+                    for id in platform.sharded.map().programs_on(shard) {
+                        let _ = platform
+                            .sharded
+                            .hive_mut(id)
+                            .expect("placed program")
+                            .guidance();
                     }
                 }
-                offset = rec_end;
+                for (&lane, pr) in &seg.pods {
+                    lane_pod_states.insert(lane, decode_pod_states(&pr.frame)?);
+                }
+                rounds_applied += 1;
+                history.push(seg.report);
+                boundary = scan.open_start();
             }
+            let (boundary, applied_records) = boundary;
             let records_discarded = (sc.recovery.records.len() - applied_records) as u64;
             if (boundary as u64) < sc.store.journal.len() {
                 if records_discarded > 0 {
@@ -688,8 +588,8 @@ impl<'p> MultiPlatform<'p> {
 
         platform.round_idx = target;
         platform.history = recovered_history.unwrap_or_default();
-        platform.durable = Some(MultiDurableState {
-            shards: durable_shards,
+        platform.durable = Some(Campaign {
+            stores: durable_shards,
             promote_seq,
             frame_floors,
         });
@@ -849,21 +749,10 @@ impl<'p> MultiPlatform<'p> {
     /// program, distribute guidance, and (when durable) commit the round
     /// to every shard journal before returning the report.
     pub fn round(&mut self, execs_per_pod: u32) -> MultiRoundReport {
-        // 1. Distribute each program's current overlay to its fleet.
         self.distribute_overlays();
-
-        // 2. Execute all fleets through the shared sharded pipeline.
-        let frame_log = self
-            .durable
-            .is_some()
-            .then(|| Mutex::new(Vec::<(u64, u64, Vec<u8>)>::new()));
-        let per_lane = self.execute_sharded(execs_per_pod, frame_log.as_ref());
-        let frames = frame_log
-            .map(|m| m.into_inner().expect("frame log poisoned"))
-            .unwrap_or_default();
-
-        // 3-6. Fix pipelines, guidance, report, durable commit.
-        self.finish_round(per_lane, frames)
+        let log = FrameLog::new(self.durable.is_some());
+        let per_lane = self.execute_sharded(execs_per_pod, &log);
+        self.finish_round(per_lane, log.into_frames())
     }
 
     /// Advances one round with execution *driven from outside*, the
@@ -873,7 +762,8 @@ impl<'p> MultiPlatform<'p> {
     /// distributed) plus the configured batch size, runs the pods
     /// however it likes, and returns per-lane counters plus every
     /// wire-encoded batch frame as `(lane, seq, frame)` triples in the
-    /// pre-partitioned per-lane sequence layout (pod `j` owns slots
+    /// pre-partitioned per-lane sequence layout of
+    /// [`PodBatcher`](crate::PodBatcher) (pod `j` owns slots
     /// `j*k..(j+1)*k`, `k = ceil(execs_per_pod / batch)`).
     ///
     /// Frames are ingested in `(lane, seq)` order — each lane's order is
@@ -907,44 +797,21 @@ impl<'p> MultiPlatform<'p> {
         assert_eq!(
             drv.per_lane.len(),
             n_lanes,
-            "driver must report one (executions, failures, directed) entry per lane"
+            "driver must report one ExecCounts entry per lane"
         );
         let mut frames = drv.frames;
-        frames.sort_by_key(|&(lane, seq, _)| (lane, seq));
-        for (lane, _, frame) in &frames {
-            let id = self.fleets[*lane as usize].id;
-            let traces = wire::decode_batch(frame).expect("driver produced a corrupt frame");
-            let hive = self.sharded.hive_mut(id).expect("fleet program is placed");
-            for trace in &traces {
-                hive.ingest(trace);
-            }
+        let lanes = self.programs();
+        fleet::ingest_driven(&mut self.sharded, &mut frames, |lane| lanes[lane as usize]);
+        if self.durable.is_none() {
+            frames.clear();
         }
-        let frames = if self.durable.is_some() {
-            frames
-        } else {
-            Vec::new()
-        };
         self.finish_round(drv.per_lane, frames)
     }
 
     /// Step 1 of a round: push each program's current overlay to its
     /// fleet.
     fn distribute_overlays(&mut self) {
-        if self.config.fixes_enabled {
-            for fleet in &mut self.fleets {
-                let (overlay, version) = {
-                    let (o, v) = self
-                        .sharded
-                        .hive(fleet.id)
-                        .expect("fleet program is placed")
-                        .current_overlay();
-                    (o.clone(), v)
-                };
-                for pod in &mut fleet.pods {
-                    pod.install_fix(overlay.clone(), version);
-                }
-            }
-        }
+        fleet::distribute_overlays(&mut self.fleets, &self.sharded, self.config.fixes_enabled);
     }
 
     /// Steps 3–6 of a round, shared by [`round`](Self::round) and
@@ -952,160 +819,37 @@ impl<'p> MultiPlatform<'p> {
     /// report, durable two-phase commit.
     fn finish_round(
         &mut self,
-        per_lane: Vec<(u64, u64, u64)>,
-        frames: Vec<(u64, u64, Vec<u8>)>,
+        per_lane: Vec<ExecCounts>,
+        frames: Vec<fleet::Frame>,
     ) -> MultiRoundReport {
-        // 3. Per-program fix pipeline. Proposals from every program are
-        //    validated concurrently on scoped threads (each against its
-        //    own program's round-start overlay), then promoted
-        //    sequentially in (lane, proposal) order — deterministic
-        //    regardless of scheduling, and replayed from recorded
-        //    promotion decisions on resume.
-        let mut promoted: Vec<(ProgramId, String, softborg_program::Overlay)> = Vec::new();
+        let promoted = fleet::fix_and_guide(
+            &mut self.fleets,
+            &mut self.sharded,
+            self.config.fixes_enabled,
+            self.config.guidance_enabled,
+            self.config.min_preservation_cases,
+        );
         let mut fixes_by_lane = vec![0u64; self.fleets.len()];
-        if self.config.fixes_enabled {
-            struct Trial {
-                lane: usize,
-                signature: String,
-                candidates: Vec<FixCandidate>,
-                failing: Vec<TestCase>,
-                passing: Vec<TestCase>,
-                base: softborg_program::Overlay,
-            }
-            let mut trials: Vec<Trial> = Vec::new();
-            for (lane, fleet) in self.fleets.iter().enumerate() {
-                let hive = self
-                    .sharded
-                    .hive(fleet.id)
-                    .expect("fleet program is placed");
-                let base = hive.current_overlay().0.clone();
-                for proposal in hive.propose_fixes() {
-                    let failing: Vec<TestCase> = fleet
-                        .pods
-                        .iter()
-                        .flat_map(|p| p.failing_cases())
-                        .filter(|(_, o)| {
-                            outcome_signature(o).as_deref() == Some(proposal.signature.as_str())
-                        })
-                        .map(|(c, _)| c.clone())
-                        .take(16)
-                        .collect();
-                    let passing: Vec<TestCase> = fleet
-                        .pods
-                        .iter()
-                        .flat_map(|p| p.passing_cases())
-                        .take(32)
-                        .cloned()
-                        .collect();
-                    trials.push(Trial {
-                        lane,
-                        signature: proposal.signature,
-                        candidates: proposal.candidates,
-                        failing,
-                        passing,
-                        base: base.clone(),
-                    });
-                }
-            }
-            let fleets = &self.fleets;
-            let winners: Vec<_> = std::thread::scope(|s| {
-                let handles: Vec<_> = trials
-                    .iter()
-                    .map(|t| {
-                        let program = fleets[t.lane].program;
-                        s.spawn(move || {
-                            rank(
-                                program,
-                                &t.base,
-                                &t.candidates,
-                                &t.failing,
-                                &t.passing,
-                                LabConfig::default(),
-                            )
-                            .into_iter()
-                            .next()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("trial validation thread panicked"))
-                    .collect()
-            });
-            for (t, winner) in trials.iter().zip(winners) {
-                let Some((candidate, validation)) = winner else {
-                    continue;
-                };
-                let distribute = match validation.verdict {
-                    Verdict::Distribute => true,
-                    Verdict::Reject | Verdict::Suggest => {
-                        t.signature.starts_with("lock-cycle:")
-                            && t.failing.is_empty()
-                            && validation.passing_total as usize
-                                >= self.config.min_preservation_cases
-                            && validation.passing_preserved == validation.passing_total
-                    }
-                };
-                if distribute {
-                    let id = self.fleets[t.lane].id;
-                    self.sharded
-                        .hive_mut(id)
-                        .expect("fleet program is placed")
-                        .promote(&t.signature, &candidate);
-                    if self.durable.is_some() {
-                        promoted.push((id, t.signature.clone(), candidate.overlay.clone()));
-                    }
-                    fixes_by_lane[t.lane] += 1;
-                }
-            }
+        for p in &promoted {
+            fixes_by_lane[p.lane] += 1;
         }
-
-        // 4. Guidance, per program.
-        if self.config.guidance_enabled {
-            for fleet in &mut self.fleets {
-                let (plan, _stats) = self
-                    .sharded
-                    .hive_mut(fleet.id)
-                    .expect("fleet program is placed")
-                    .guidance();
-                if !plan.directives.is_empty() {
-                    let n = fleet.pods.len();
-                    for (i, d) in plan.directives.into_iter().enumerate() {
-                        match d {
-                            Directive::InputSeed { .. } => {
-                                for k in 0..3usize {
-                                    fleet.pods[(i * 3 + k) % n].receive_guidance([d.clone()]);
-                                }
-                            }
-                            other => {
-                                fleet.pods[i % n].receive_guidance([other]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // 5. Report.
         let programs: Vec<ProgramRoundReport> = self
             .fleets
             .iter()
-            .enumerate()
-            .map(|(lane, fleet)| {
-                let (e, f, d) = per_lane[lane];
-                ProgramRoundReport {
-                    program: fleet.id.0,
-                    executions: e,
-                    failures: f,
-                    fixes_promoted: fixes_by_lane[lane],
-                    overlay_version: self
-                        .sharded
-                        .hive(fleet.id)
-                        .expect("fleet program is placed")
-                        .current_overlay()
-                        .1,
-                    directed: d,
-                }
+            .zip(&per_lane)
+            .zip(&fixes_by_lane)
+            .map(|((fleet, counts), &fixes_promoted)| ProgramRoundReport {
+                program: fleet.id.0,
+                executions: counts.executions,
+                failures: counts.failures,
+                fixes_promoted,
+                overlay_version: self
+                    .sharded
+                    .hive(fleet.id)
+                    .expect("fleet program is placed")
+                    .current_overlay()
+                    .1,
+                directed: counts.directed,
             })
             .collect();
         let executions: u64 = programs.iter().map(|p| p.executions).sum();
@@ -1114,64 +858,21 @@ impl<'p> MultiPlatform<'p> {
             round: self.round_idx,
             executions,
             failures,
-            failure_rate_per_10k: if executions == 0 {
-                0.0
-            } else {
-                failures as f64 * 10_000.0 / executions as f64
-            },
-            fixes_promoted: fixes_by_lane.iter().sum(),
+            failure_rate_per_10k: fleet::failure_rate_per_10k(executions, failures),
+            fixes_promoted: promoted.len() as u64,
             programs,
         };
         self.round_idx += 1;
         self.history.push(report.clone());
 
-        // 6. Durable two-phase commit.
+        // Durable two-phase commit.
         let obs = self.config.obs.clone();
-        let clock = obs.span_clock();
-        let commit_hist = obs
-            .registry
-            .as_ref()
-            .map(|r| r.histogram("multi.round_commit_ns"));
-        let frames_journaled = frames.len() as u64;
-        let promotions_journaled = promoted.len() as u64;
-        let commit_span = SpanTimer::start_if(clock.as_ref(), &commit_hist);
-        let commit = self
-            .commit_round(&report, frames, &promoted)
-            .expect("durable round commit failed");
-        let commit_ns = commit_span.map_or(0, SpanTimer::stop);
-        self.telemetry.push(RoundTelemetry {
-            round: report.round,
-            commit_ns,
-            fsync_ns: commit.fsync_ns,
-            frames_journaled,
-            promotions_journaled,
-            compacted: commit.compacted,
-            checkpoint_ns: commit.checkpoint_ns,
-            checkpoint_bytes: commit.checkpoint_bytes,
+        let r = &report;
+        let totals = [r.round, r.executions, r.failures, r.fixes_promoted];
+        let telemetry = fleet::commit_observed(&obs, "multi", totals, &[], || {
+            self.commit_round(r, frames, &promoted)
         });
-        if let Some(reg) = obs.registry.as_ref() {
-            reg.counter("multi.rounds").incr();
-            reg.counter("multi.executions").add(report.executions);
-            reg.counter("multi.failures").add(report.failures);
-            reg.counter("multi.fixes_promoted")
-                .add(report.fixes_promoted);
-        }
-        // Content-determined fields only, so events_hash stays replay-
-        // and host-stable.
-        obs.recorder.info(
-            "multi",
-            "round_committed",
-            &[
-                ("round", report.round),
-                ("executions", report.executions),
-                ("failures", report.failures),
-                ("fixes_promoted", report.fixes_promoted),
-            ],
-            format_args!(
-                "round {} committed: {} executions, {} failures, {} fix(es) promoted",
-                report.round, report.executions, report.failures, report.fixes_promoted
-            ),
-        );
+        self.telemetry.push(telemetry);
         report
     }
 
@@ -1187,102 +888,28 @@ impl<'p> MultiPlatform<'p> {
     /// frames into pre-partitioned per-program sequence slots (pod `j`
     /// of a fleet owns slots `j*k..(j+1)*k`), so each program's merge
     /// order is pod-major — byte-identical to a serial per-program loop
-    /// — regardless of thread scheduling. Returns `(executions,
-    /// failures, directed)` per lane.
-    fn execute_sharded(
-        &mut self,
-        execs_per_pod: u32,
-        frame_log: Option<&FrameLog>,
-    ) -> Vec<(u64, u64, u64)> {
+    /// — regardless of thread scheduling. Returns the counts per lane.
+    fn execute_sharded(&mut self, execs_per_pod: u32, log: &FrameLog) -> Vec<ExecCounts> {
         let batch = self.config.ingest.batch_size.max(1) as u64;
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let n_lanes = self.fleets.len();
-        let MultiPlatform {
-            sharded,
-            fleets,
-            config,
-            last_run,
-            ..
-        } = self;
-        let mut units: Vec<(u64, ProgramId, u64, &mut Pod<'p>)> = Vec::new();
-        for (lane, fleet) in fleets.iter_mut().enumerate() {
-            for (j, pod) in fleet.pods.iter_mut().enumerate() {
-                units.push((lane as u64, fleet.id, j as u64, pod));
-            }
-        }
-        let threads = config.ingest.pod_threads.max(1).min(units.len().max(1));
-        let chunk_size = units.len().div_ceil(threads).max(1);
-        let mut cfg = config.ingest.pipeline.clone();
-        if !cfg.obs.is_enabled() {
-            // One attach point: platform-level telemetry flows into the
-            // sharded ingest stage unless the pipeline has its own sinks.
-            cfg.obs = config.obs.clone();
-        }
-        let (per_unit, stats) = sharded.ingest_frames(&cfg, move |tx| {
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for chunk in units.chunks_mut(chunk_size) {
-                    let tx = tx.clone();
-                    handles.push(s.spawn(move || {
-                        let mut out: Vec<(u64, u64, u64, u64)> = Vec::with_capacity(chunk.len());
-                        for (lane, id, pod_index, pod) in chunk {
-                            let (mut executions, mut failures, mut directed) = (0u64, 0u64, 0u64);
-                            let mut next_seq = *pod_index * frames_per_pod;
-                            let mut buf: Vec<softborg_trace::ExecutionTrace> =
-                                Vec::with_capacity(batch as usize);
-                            let flush =
-                                |buf: &mut Vec<softborg_trace::ExecutionTrace>,
-                                 next_seq: &mut u64| {
-                                    let frame = wire::encode_batch(&*buf);
-                                    if let Some(log) = frame_log {
-                                        log.lock().expect("frame log poisoned").push((
-                                            *lane,
-                                            *next_seq,
-                                            frame.clone(),
-                                        ));
-                                    }
-                                    tx.submit_for_at(*id, *next_seq, frame)
-                                        .expect("lane program is placed");
-                                    *next_seq += 1;
-                                    buf.clear();
-                                };
-                            for _ in 0..execs_per_pod {
-                                let run = pod.run_once();
-                                executions += 1;
-                                if run.result.outcome.is_failure() {
-                                    failures += 1;
-                                }
-                                if run.directed {
-                                    directed += 1;
-                                }
-                                buf.push(run.trace);
-                                if buf.len() as u64 == batch {
-                                    flush(&mut buf, &mut next_seq);
-                                }
-                            }
-                            if !buf.is_empty() {
-                                flush(&mut buf, &mut next_seq);
-                            }
-                            out.push((*lane, executions, failures, directed));
-                        }
-                        out
-                    }));
-                }
-                drop(tx);
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("pod thread panicked"))
-                    .collect::<Vec<_>>()
-            })
+        let pod_threads = self.config.ingest.pod_threads;
+        let cfg = fleet::pipeline_config(&self.config.ingest.pipeline, &self.config.obs);
+        let lanes = self.programs();
+        let fleets = &mut self.fleets;
+        let (per_lane, stats) = self.sharded.ingest_frames(&cfg, move |tx| {
+            fleet::execute_threaded(
+                fleets,
+                execs_per_pod,
+                batch,
+                pod_threads,
+                tx,
+                |tx, lane, _, seq, frame| {
+                    log.push(lane as u64, seq, &frame);
+                    tx.submit_for_at(lanes[lane], seq, frame)
+                        .expect("lane program is placed");
+                },
+            )
         });
-        *last_run = Some(stats);
-        let mut per_lane = vec![(0u64, 0u64, 0u64); n_lanes];
-        for (lane, e, f, d) in per_unit {
-            let entry = &mut per_lane[lane as usize];
-            entry.0 += e;
-            entry.1 += f;
-            entry.2 += d;
-        }
+        self.last_run = Some(stats);
         per_lane
     }
 
@@ -1296,14 +923,23 @@ impl<'p> MultiPlatform<'p> {
     fn commit_round(
         &mut self,
         report: &MultiRoundReport,
-        mut frames: Vec<(u64, u64, Vec<u8>)>,
-        promoted: &[(ProgramId, String, softborg_program::Overlay)],
-    ) -> Result<CommitStats, DurabilityError> {
-        let obs = self.config.obs.clone();
-        let lanes: Vec<ProgramId> = self.fleets.iter().map(|f| f.id).collect();
-        if self.durable.is_none() {
-            return Ok(CommitStats::default());
-        }
+        frames: Vec<fleet::Frame>,
+        promoted: &[Promotion],
+    ) -> Result<RoundTelemetry, DurabilityError> {
+        let Some(d) = self.durable.as_mut() else {
+            return Ok(RoundTelemetry::default());
+        };
+        let mut stats = RoundTelemetry {
+            frames_journaled: frames.len() as u64,
+            promotions_journaled: promoted.len() as u64,
+            ..RoundTelemetry::default()
+        };
+        let fleets = &self.fleets;
+        let map = self.sharded.map();
+        let shard_of = |lane: usize| {
+            map.shard_of(fleets[lane].id)
+                .expect("lane program is placed")
+        };
         // Capture every fleet's pod population *after* guidance queued
         // next-round directives — the exact state an uninterrupted
         // process carries into the next round.
@@ -1312,89 +948,88 @@ impl<'p> MultiPlatform<'p> {
             .iter()
             .map(|f| encode_pod_states(&f.pods))
             .collect();
-        let d = self.durable.as_mut().expect("checked above");
-        frames.sort_by_key(|&(lane, seq, _)| (lane, seq));
-
-        // Phase A: append everywhere…
-        let mut rec = Vec::new();
-        for (lane, seq, bytes) in &frames {
-            let shard = self
-                .sharded
-                .map()
-                .shard_of(lanes[*lane as usize])
-                .expect("lane program is placed");
-            rec.clear();
-            journal::append_record(&mut rec, REC_FRAME, *lane, *seq, bytes);
-            d.shards[shard].journal.append(&rec)?;
-            let floor = d.frame_floors.entry(*lane).or_insert(0);
-            *floor = (*floor).max(seq + 1);
-        }
-        for (program, signature, overlay) in promoted {
-            let shard = self
-                .sharded
-                .map()
-                .shard_of(*program)
-                .expect("promoted program is placed");
-            let mut body = Vec::new();
-            codec::put_u64(&mut body, program.0);
-            codec::put_str(&mut body, signature);
-            overlay.encode_into(&mut body);
-            rec.clear();
-            journal::append_record(&mut rec, REC_PROMOTE, SESSION_PROMOTE, d.promote_seq, &body);
-            d.promote_seq += 1;
-            d.shards[shard].journal.append(&rec)?;
-        }
-        for (lane, pod_body) in pod_bodies.iter().enumerate() {
-            let shard = self
-                .sharded
-                .map()
-                .shard_of(lanes[lane])
-                .expect("lane program is placed");
-            rec.clear();
-            journal::append_record(&mut rec, REC_PODS, lane as u64, report.round, pod_body);
-            d.shards[shard].journal.append(&rec)?;
-        }
+        let pods: Vec<(usize, u64, &[u8])> = pod_bodies
+            .iter()
+            .enumerate()
+            .map(|(lane, body)| (shard_of(lane), lane as u64, body.as_slice()))
+            .collect();
+        let promotions = promoted
+            .iter()
+            .map(|p| {
+                let mut body = Vec::new();
+                codec::put_u64(&mut body, fleets[p.lane].id.0);
+                p.encode_into(&mut body);
+                (shard_of(p.lane), body)
+            })
+            .collect();
+        let frames = frames
+            .into_iter()
+            .map(|f| (shard_of(f.0 as usize), f))
+            .collect();
         let mut body = Vec::new();
         report.encode_into(&mut body);
-        rec.clear();
-        journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, report.round, &body);
-        for store in &mut d.shards {
-            store.journal.append(&rec)?;
-        }
-        // …then fsync everywhere. A crash between fsyncs leaves some
-        // shards one round ahead; resume truncates them back to the
-        // minimum (the round was never acked).
-        let clock = obs.span_clock();
-        let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
-        let fsync_span = SpanTimer::start_if(clock.as_ref(), &fsync_hist);
-        for store in &mut d.shards {
-            store.journal.sync()?;
-        }
-        let fsync_ns = fsync_span.map_or(0, SpanTimer::stop);
+        let round = (report.round, body.as_slice());
+        stats.fsync_ns = d.journal_round(frames, promotions, &pods, round, &self.config.obs)?;
+        self.checkpoint_shards(&pod_bodies, true, &mut stats)?;
+        Ok(stats)
+    }
 
-        // Phase B: per-shard checkpoints.
-        let mut stats = CommitStats {
-            fsync_ns,
-            ..CommitStats::default()
-        };
-        for shard in 0..d.shards.len() {
-            if !d.shards[shard].checkpoint_due() {
+    /// Appends a checkpoint record to every shard's chain — only to the
+    /// shards whose journal outgrew its chain footprint when `due_only`
+    /// (phase B of a commit) — truncates those journals, resets their
+    /// delta tracking, and adds the bytes and stall to `stats`. A
+    /// record's session floors and pod populations cover only the lanes
+    /// whose frames land in that shard's journal.
+    fn checkpoint_shards(
+        &mut self,
+        pod_bodies: &[Vec<u8>],
+        due_only: bool,
+        stats: &mut RoundTelemetry,
+    ) -> Result<(), DurabilityError> {
+        let lanes = self.programs();
+        let d = self
+            .durable
+            .as_mut()
+            .ok_or(DurabilityError::NotConfigured)?;
+        let sharded = &mut self.sharded;
+        for shard in 0..d.stores.len() {
+            if due_only && !d.stores[shard].checkpoint_due() {
                 continue;
             }
             let started = std::time::Instant::now();
-            stats.checkpoint_bytes += write_shard_checkpoint(
-                d,
-                shard,
-                &lanes,
-                &mut self.sharded,
-                self.round_idx,
-                &self.history,
-                &pod_bodies,
+            let on_shard = |lane: u64| {
+                lanes
+                    .get(lane as usize)
+                    .is_some_and(|&id| sharded.map().shard_of(id) == Ok(shard))
+            };
+            let sessions: BTreeMap<u64, u64> = d
+                .frame_floors
+                .iter()
+                .filter(|(&lane, _)| on_shard(lane))
+                .map(|(&lane, &floor)| (lane, floor))
+                .collect();
+            let shard_pods: Vec<(u64, &[u8])> = (0..pod_bodies.len() as u64)
+                .filter(|&lane| on_shard(lane))
+                .map(|lane| (lane, pod_bodies[lane as usize].as_slice()))
+                .collect();
+            let app_meta = encode_multi_app_meta(self.round_idx, &self.history, &shard_pods);
+            stats.checkpoint_bytes += d.stores[shard].checkpoint(
+                |kind| {
+                    match kind {
+                        RecordKind::Full => sharded.encode_shard_state(shard),
+                        RecordKind::Delta => sharded.encode_shard_state_delta(shard),
+                    }
+                    .expect("shard index in range")
+                },
+                sessions,
+                app_meta,
+                true,
             )?;
+            sharded.mark_shard_clean(shard);
             stats.checkpoint_ns += started.elapsed().as_nanos() as u64;
             stats.compacted = true;
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// On-demand checkpoint of every shard: each folds its journal into
@@ -1406,83 +1041,20 @@ impl<'p> MultiPlatform<'p> {
     /// [`DurabilityError::NotConfigured`] on a non-durable platform;
     /// [`DurabilityError::Io`] when a chain append fails.
     pub fn checkpoint(&mut self) -> Result<u64, DurabilityError> {
-        let lanes: Vec<ProgramId> = self.fleets.iter().map(|f| f.id).collect();
         let pod_bodies: Vec<Vec<u8>> = self
             .fleets
             .iter()
             .map(|f| encode_pod_states(&f.pods))
             .collect();
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or(DurabilityError::NotConfigured)?;
-        let mut written = 0;
-        for shard in 0..d.shards.len() {
-            written += write_shard_checkpoint(
-                d,
-                shard,
-                &lanes,
-                &mut self.sharded,
-                self.round_idx,
-                &self.history,
-                &pod_bodies,
-            )?;
-        }
-        Ok(written)
+        let mut stats = RoundTelemetry::default();
+        self.checkpoint_shards(&pod_bodies, false, &mut stats)?;
+        Ok(stats.checkpoint_bytes)
     }
 }
 
 /// `shard-<i>/` under the campaign's durability root.
 fn shard_dir(dcfg: &DurabilityConfig, shard: usize) -> std::path::PathBuf {
     dcfg.dir.join(format!("shard-{shard}"))
-}
-
-/// Appends one checkpoint record to shard `shard`'s chain covering its
-/// whole journal, truncates that journal, and resets the shard's delta
-/// tracking. The record's session floors and pod populations cover only
-/// the lanes whose frames land in this shard's journal. Returns the
-/// payload size in bytes.
-fn write_shard_checkpoint(
-    d: &mut MultiDurableState,
-    shard: usize,
-    lanes: &[ProgramId],
-    sharded: &mut ShardedHive<'_>,
-    round_idx: u64,
-    history: &[MultiRoundReport],
-    lane_pods: &[Vec<u8>],
-) -> Result<u64, DurabilityError> {
-    let on_shard = |lane: u64| {
-        lanes
-            .get(lane as usize)
-            .is_some_and(|&id| sharded.map().shard_of(id) == Ok(shard))
-    };
-    let sessions: BTreeMap<u64, u64> = d
-        .frame_floors
-        .iter()
-        .filter(|(&lane, _)| on_shard(lane))
-        .map(|(&lane, &floor)| (lane, floor))
-        .collect();
-    let shard_pods: Vec<(u64, &[u8])> = lane_pods
-        .iter()
-        .enumerate()
-        .filter(|&(lane, _)| on_shard(lane as u64))
-        .map(|(lane, body)| (lane as u64, body.as_slice()))
-        .collect();
-    let app_meta = encode_multi_app_meta(round_idx, history, &shard_pods);
-    let written = d.shards[shard].checkpoint(
-        |kind| {
-            match kind {
-                RecordKind::Full => sharded.encode_shard_state(shard),
-                RecordKind::Delta => sharded.encode_shard_state_delta(shard),
-            }
-            .expect("shard index in range")
-        },
-        sessions,
-        app_meta,
-        true,
-    )?;
-    sharded.mark_shard_clean(shard);
-    Ok(written)
 }
 
 /// Shard-checkpoint `app_meta` payload: committed-round counter, the full
@@ -1495,11 +1067,7 @@ fn encode_multi_app_meta(
     lane_pods: &[(u64, &[u8])],
 ) -> Vec<u8> {
     let mut buf = Vec::new();
-    codec::put_u64(&mut buf, round_idx);
-    codec::put_u32(&mut buf, history.len() as u32);
-    for report in history {
-        report.encode_into(&mut buf);
-    }
+    fleet::encode_history(&mut buf, round_idx, history, MultiRoundReport::encode_into);
     codec::put_u32(&mut buf, lane_pods.len() as u32);
     for (lane, body) in lane_pods {
         codec::put_u64(&mut buf, *lane);
@@ -1512,12 +1080,8 @@ type MultiAppMeta = (u64, Vec<MultiRoundReport>, Vec<(u64, Vec<PodState>)>);
 
 fn decode_multi_app_meta(bytes: &[u8]) -> Result<MultiAppMeta, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
-    let round_idx = r.u64("multi_app_meta.round_idx")?;
-    let n = r.seq_len("multi_app_meta.history", 112)?;
-    let mut history = Vec::with_capacity(n);
-    for _ in 0..n {
-        history.push(MultiRoundReport::decode(&mut r)?);
-    }
+    let labels = ["multi_app_meta.round_idx", "multi_app_meta.history"];
+    let (round_idx, history) = fleet::decode_history(&mut r, labels, MultiRoundReport::decode)?;
     let n_lanes = r.seq_len("multi_app_meta.lane_pods", 12)?;
     let mut lane_pods = Vec::with_capacity(n_lanes);
     for _ in 0..n_lanes {
@@ -1525,11 +1089,6 @@ fn decode_multi_app_meta(bytes: &[u8]) -> Result<MultiAppMeta, DurabilityError> 
         let body = r.bytes("multi_app_meta.pods")?;
         lane_pods.push((lane, decode_pod_states(body)?));
     }
-    if !r.is_empty() {
-        return Err(DurabilityError::Corrupt(format!(
-            "multi_app_meta has {} trailing byte(s)",
-            r.remaining()
-        )));
-    }
+    fleet::expect_end(&r, "multi_app_meta")?;
     Ok((round_idx, history, lane_pods))
 }

@@ -9,30 +9,32 @@
 //! executions. The headline experiment E1 charts the population failure
 //! rate across rounds — "the more a program is used, the more reliable
 //! it should become" (§2).
+//!
+//! The round stages themselves — the pod loop, the fix pipeline,
+//! guidance dispatch, round telemetry and the journal segment scan —
+//! live in the private `fleet` module (`fleet.rs`), shared with
+//! [`MultiPlatform`](crate::MultiPlatform): a platform is one fleet over
+//! one [`Hive`]. What is its own here is the hive, the pipelined ingest,
+//! the journal record bodies (session = pod index) and the recovery
+//! policy, which fences a partial round behind `REC_ABORT`.
 
-use crate::durable::ShardStore;
+use crate::durable::{Campaign, ShardStore};
+use crate::fleet::{self, ExecCounts, Fleet, FrameLog, Promotion, SegmentScan};
 use serde::{Deserialize, Serialize};
-use softborg_fix::{rank, FixCandidate, LabConfig, TestCase, Verdict};
-use softborg_guidance::Directive;
-use softborg_hive::journal::{
-    self, JournalRecord, REC_ABORT, REC_FRAME, REC_PODS, REC_PROMOTE, REC_ROUND, REC_TOMBSTONE,
-    SESSION_PROMOTE, SESSION_ROUND,
-};
+use softborg_hive::journal::{self, REC_ABORT, SESSION_ROUND};
 use softborg_hive::{
-    diagnosis_signature, outcome_signature, scrub_page_dir, Hive, HiveConfig, JournalIoError,
-    JournalStore, ScrubError, ScrubReport,
+    diagnosis_signature, scrub_page_dir, Hive, HiveConfig, JournalIoError, JournalStore,
+    ScrubError, ScrubReport,
 };
 use softborg_ingest::{IngestConfig, IngestStats};
-use softborg_obs::{ObsHandles, SpanTimer};
+use softborg_obs::ObsHandles;
 use softborg_pod::{Pod, PodConfig, PodState};
 use softborg_program::codec::{self, CodecError};
-use softborg_program::{Overlay, Program};
+use softborg_program::Program;
 use softborg_store::{ChainReport, PageStats, PagedConfig, RecordKind};
-use softborg_trace::wire;
 use softborg_tree::CoverageStats;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// Platform configuration.
 #[derive(Debug, Clone)]
@@ -210,8 +212,11 @@ pub(crate) fn io_err(op: &'static str, e: &std::io::Error) -> DurabilityError {
 pub struct IngestSettings {
     /// `true`: pods run on scoped threads and report through the staged
     /// ingest pipeline (wire-encoded batch frames, decode+reconstruct
-    /// worker pool, ordered merger). `false`: the original serial loop.
-    /// Both produce byte-identical hive state.
+    /// worker pool, ordered merger) while they execute. `false`:
+    /// [`Platform::round`] runs the built-in serial driver through
+    /// [`Platform::round_driven`] — pods one after another, then their
+    /// frames ingested in merge order. Both produce byte-identical hive
+    /// state and journals.
     pub pipelined: bool,
     /// Threads executing pods (pods are partitioned into contiguous
     /// chunks, one per thread).
@@ -387,60 +392,29 @@ pub struct RoundTelemetry {
     pub checkpoint_bytes: u64,
 }
 
-/// What one durable round commit did (feeds [`RoundTelemetry`]).
-#[derive(Debug, Default)]
-pub(crate) struct CommitStats {
-    pub(crate) fsync_ns: u64,
-    pub(crate) compacted: bool,
-    pub(crate) checkpoint_ns: u64,
-    pub(crate) checkpoint_bytes: u64,
-}
-
-/// A round's durable frame log: `(session, seq, frame)` triples mirrored
-/// from the ingest path, shared across pod threads.
-type FrameLog = Mutex<Vec<(u64, u64, Vec<u8>)>>;
-
 /// What an external driver executed during one
 /// [`Platform::round_driven`] round.
 #[derive(Debug, Default)]
 pub struct DrivenExecution {
-    /// Executions performed across all pods.
-    pub executions: u64,
-    /// Failures observed.
-    pub failures: u64,
-    /// Directed (guided) executions.
-    pub directed: u64,
+    /// Executions, failures and directed runs across all pods.
+    pub counts: ExecCounts,
     /// Every wire-encoded batch frame produced, as
     /// `(session = pod index, seq, frame)` — the same layout
     /// [`Platform::round`] journals and the pipelined merger replays.
     pub frames: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// The live half of a durable campaign: the open journal and chain, and
-/// the bookkeeping replay needs.
-#[derive(Debug)]
-struct DurableState {
-    store: ShardStore,
-    /// Next sequence number for `REC_PROMOTE` records.
-    promote_seq: u64,
-    /// Per-pod frame floors (`session → next seq`), carried into
-    /// checkpoints so transports resuming against this campaign can
-    /// deduplicate across the restart.
-    frame_floors: BTreeMap<u64, u64>,
-}
-
 /// The platform. See the [module docs](self).
 #[derive(Debug)]
 pub struct Platform<'p> {
-    program: &'p Program,
     hive: Hive<'p>,
-    pods: Vec<Pod<'p>>,
+    fleet: Fleet<'p>,
     config: PlatformConfig,
     round_idx: u64,
     history: Vec<RoundReport>,
     telemetry: Vec<RoundTelemetry>,
     last_ingest: Option<IngestStats>,
-    durable: Option<DurableState>,
+    durable: Option<Campaign>,
 }
 
 impl<'p> Platform<'p> {
@@ -448,21 +422,10 @@ impl<'p> Platform<'p> {
     /// with derived seeds. Durability (if configured) is attached by the
     /// caller.
     fn base(program: &'p Program, config: PlatformConfig) -> Self {
-        let pods = (0..config.n_pods)
-            .map(|i| {
-                let mut pc = config.pod.clone();
-                pc.seed = config
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(u64::from(i) + 1);
-                Pod::new(program, pc)
-            })
-            .collect();
         Platform {
             hive: Hive::new(program, config.hive.clone()),
-            pods,
+            fleet: Fleet::new(program, &config.pod, config.n_pods, config.seed, 0),
             config,
-            program,
             round_idx: 0,
             history: Vec::new(),
             telemetry: Vec::new(),
@@ -498,11 +461,10 @@ impl<'p> Platform<'p> {
                 .map_err(|e| io_err("page-store", &e))?;
         }
         if let Some(dcfg) = &platform.config.durability {
-            platform.durable = Some(DurableState {
-                store: ShardStore::create(dcfg.dir.clone(), dcfg)?,
-                promote_seq: 0,
-                frame_floors: BTreeMap::new(),
-            });
+            platform.durable = Some(Campaign::new(vec![ShardStore::create(
+                dcfg.dir.clone(),
+                dcfg,
+            )?]));
         }
         Ok(platform)
     }
@@ -579,122 +541,63 @@ impl<'p> Platform<'p> {
         let rounds_from_snapshot = platform.round_idx;
 
         let records = &recovery.records;
-        let replay_from = recovery.replay_from;
         let mut promote_seq = 0u64;
-        let mut seg_frames: Vec<&JournalRecord> = Vec::new();
-        let mut seg_promotes: Vec<&JournalRecord> = Vec::new();
-        let mut seg_pods: Option<&JournalRecord> = None;
-        let mut fenced_records = 0u64;
         let mut rounds_replayed = 0u64;
         let mut disconnected_records = 0u64;
-        // Byte offset (in the whole journal) of the next record, and of
-        // the first record of the segment currently being buffered.
-        let mut offset = replay_from;
-        let mut seg_start = replay_from;
-        let mut seg_start_idx = 0usize;
-        for (idx, rec) in records.iter().enumerate() {
-            let rec_end = offset + rec.encoded_len();
-            match rec.kind {
-                REC_FRAME => seg_frames.push(rec),
-                REC_PROMOTE => seg_promotes.push(rec),
-                REC_PODS => seg_pods = Some(rec),
-                REC_TOMBSTONE => {} // transport-only; the platform journals no tombstones
-                REC_ABORT => {
-                    // A previous resume fenced these: an uncommitted
-                    // partial round that must never be applied.
-                    seg_frames.clear();
-                    seg_promotes.clear();
-                    seg_pods = None;
-                    seg_start = rec_end;
-                    seg_start_idx = idx + 1;
-                }
-                REC_ROUND => {
-                    // Decode the boundary *before* applying the segment:
-                    // if the newest chain record was destroyed and
-                    // recovery fell back to an older one, the journal
-                    // suffix covers rounds the fallback state never saw.
-                    // Merging it would skip the rounds in between, so
-                    // discard the disconnected suffix instead and resume
-                    // from the older — but consistent — state.
-                    let mut r = codec::Reader::new(&rec.frame);
-                    let report = RoundReport::decode(&mut r)
-                        .map_err(|e| DurabilityError::Corrupt(format!("round record: {e}")))?;
-                    if report.round != platform.round_idx {
-                        disconnected_records = (records.len() - seg_start_idx) as u64;
-                        platform.config.obs.recorder.warn_or_ops(
-                            "platform.resume",
-                            "disconnected_records",
-                            &[
-                                ("records", disconnected_records),
-                                ("journal_round", report.round),
-                                ("state_round", platform.round_idx),
-                            ],
-                            format_args!(
-                                "platform resume discarding {disconnected_records} \
-                                 disconnected journal record(s): round record says {} but the \
-                                 recovered state is at round {}",
-                                report.round, platform.round_idx
-                            ),
-                        );
-                        seg_frames.clear();
-                        seg_promotes.clear();
-                        seg_pods = None;
-                        store.journal.truncate(seg_start as u64)?;
-                        break;
-                    }
-                    seg_frames.sort_by_key(|r| (r.session, r.seq));
-                    for fr in seg_frames.drain(..) {
-                        let traces = wire::decode_batch(&fr.frame)
-                            .map_err(|e| DurabilityError::Corrupt(format!("frame batch: {e}")))?;
-                        for trace in &traces {
-                            platform.hive.ingest(trace);
-                        }
-                        let floor = frame_floors.entry(fr.session).or_insert(0);
-                        *floor = (*floor).max(fr.seq + 1);
-                    }
-                    for pr in seg_promotes.drain(..) {
-                        let mut r = codec::Reader::new(&pr.frame);
-                        let signature = r
-                            .str("promote.signature")
-                            .map_err(|e| DurabilityError::Corrupt(e.to_string()))?
-                            .to_string();
-                        let overlay = Overlay::decode(&mut r)
-                            .map_err(|e| DurabilityError::Corrupt(e.to_string()))?;
-                        platform.hive.promote(
-                            &signature,
-                            &FixCandidate {
-                                overlay,
-                                description: String::new(),
-                            },
-                        );
-                        promote_seq = promote_seq.max(pr.seq + 1);
-                    }
-                    if platform.config.guidance_enabled {
-                        // Re-run guidance to advance hive-internal state;
-                        // the directives it produced are already queued
-                        // inside the committed pod images, so the copies
-                        // here are discarded.
-                        let _ = platform.hive.guidance();
-                    }
-                    if let Some(pr) = seg_pods.take() {
-                        pod_states = Some(decode_pod_states(&pr.frame)?);
-                    }
-                    platform.round_idx += 1;
-                    rounds_replayed += 1;
-                    platform.history.push(report);
-                    seg_start = rec_end;
-                    seg_start_idx = idx + 1;
-                }
-                other => {
-                    return Err(DurabilityError::Corrupt(format!(
-                        "unknown journal record kind {other}"
-                    )));
-                }
+        let mut scan = SegmentScan::new(records, recovery.replay_from);
+        while let Some(seg) = scan.next_round(RoundReport::decode)? {
+            // If the newest chain record was destroyed and recovery fell
+            // back to an older one, the journal suffix covers rounds the
+            // fallback state never saw. Merging it would skip the rounds
+            // in between, so discard the disconnected suffix instead and
+            // resume from the older — but consistent — state.
+            let report = &seg.report;
+            if report.round != platform.round_idx {
+                let (seg_start, seg_start_idx) = seg.start;
+                disconnected_records = (records.len() - seg_start_idx) as u64;
+                platform.config.obs.recorder.warn_or_ops(
+                    "platform.resume",
+                    "disconnected_records",
+                    &[
+                        ("records", disconnected_records),
+                        ("journal_round", report.round),
+                        ("state_round", platform.round_idx),
+                    ],
+                    format_args!(
+                        "platform resume discarding {disconnected_records} \
+                         disconnected journal record(s): round record says {} but the \
+                         recovered state is at round {}",
+                        report.round, platform.round_idx
+                    ),
+                );
+                store.journal.truncate(seg_start as u64)?;
+                break;
             }
-            offset = rec_end;
+            let hive = &mut platform.hive;
+            seg.replay_frames(&mut frame_floors, |_, traces| {
+                traces.iter().for_each(|t| hive.ingest(t));
+                Ok(())
+            })?;
+            for pr in &seg.promotes {
+                let (signature, fix) = fleet::decode_promotion(&mut codec::Reader::new(&pr.frame))?;
+                platform.hive.promote(&signature, &fix);
+                promote_seq = promote_seq.max(pr.seq + 1);
+            }
+            if platform.config.guidance_enabled {
+                // Re-run guidance to advance hive-internal state; the
+                // directives it produced are already queued inside the
+                // committed pod images, so the copies here are discarded.
+                let _ = platform.hive.guidance();
+            }
+            if let Some(pr) = seg.pods.values().next_back() {
+                pod_states = Some(decode_pod_states(&pr.frame)?);
+            }
+            platform.round_idx += 1;
+            rounds_replayed += 1;
+            platform.history.push(seg.report);
         }
-        let partial =
-            (seg_frames.len() + seg_promotes.len() + usize::from(seg_pods.is_some())) as u64;
+        let mut fenced_records = 0u64;
+        let partial = scan.pending();
         if partial > 0 {
             // The process died mid-round: those records were never acked
             // (the round never returned), so discard them — and fence
@@ -710,11 +613,11 @@ impl<'p> Platform<'p> {
         // (journal beats checkpoint; a cold start keeps the seed-derived
         // population, which *is* the round-0 state).
         if let Some(states) = pod_states {
-            restore_pod_states(&mut platform.pods, states)?;
+            restore_pod_states(&mut platform.fleet.pods, states)?;
         }
 
-        platform.durable = Some(DurableState {
-            store,
+        platform.durable = Some(Campaign {
+            stores: vec![store],
             promote_seq,
             frame_floors,
         });
@@ -723,7 +626,7 @@ impl<'p> Platform<'p> {
             ResumeReport {
                 rounds_from_snapshot,
                 rounds_replayed,
-                wal_replay_offset: replay_from as u64,
+                wal_replay_offset: recovery.replay_from as u64,
                 wal_tail_dropped: recovery.tail_dropped,
                 fenced_records,
                 disconnected_records,
@@ -740,7 +643,7 @@ impl<'p> Platform<'p> {
 
     /// The pods.
     pub fn pods(&self) -> &[Pod<'p>] {
-        &self.pods
+        &self.fleet.pods
     }
 
     /// All round reports so far.
@@ -750,6 +653,11 @@ impl<'p> Platform<'p> {
 
     /// Advances one round with `execs_per_pod` executions per pod.
     ///
+    /// With [`IngestSettings::pipelined`] the pods report through the
+    /// staged ingest pipeline while they run; without it this is
+    /// [`round_driven`](Self::round_driven) with the built-in serial
+    /// driver. Both leave byte-identical hive state and journals.
+    ///
     /// With durability configured, the round's batch frames, fix
     /// promotions, and report are all on disk (journal appended and
     /// fsynced) *before* this returns — returning the report is the ack.
@@ -757,26 +665,13 @@ impl<'p> Platform<'p> {
     /// and restarts through [`resume`](Self::resume) rather than running
     /// on with unpersisted state.
     pub fn round(&mut self, execs_per_pod: u32) -> RoundReport {
-        // 1. Distribute the current overlay.
+        if !self.config.ingest.pipelined {
+            return self.round_driven(|pods, batch| serial_driver(pods, execs_per_pod, batch));
+        }
         self.distribute_overlay();
-
-        // 2. Execute and ingest (mirroring every batch frame into the
-        //    durable frame log when durability is on).
-        let frame_log = self
-            .durable
-            .is_some()
-            .then(|| Mutex::new(Vec::<(u64, u64, Vec<u8>)>::new()));
-        let (executions, failures, directed) = if self.config.ingest.pipelined {
-            self.execute_pipelined(execs_per_pod, frame_log.as_ref())
-        } else {
-            self.execute_serial(execs_per_pod, frame_log.as_ref())
-        };
-        let frames = frame_log
-            .map(|m| m.into_inner().expect("frame log poisoned"))
-            .unwrap_or_default();
-
-        // 3-6. Fix pipeline, guidance, report, durable commit.
-        self.finish_round(executions, failures, directed, frames)
+        let log = FrameLog::new(self.durable.is_some());
+        let counts = self.execute_pipelined(execs_per_pod, &log);
+        self.finish_round(counts, log.into_frames())
     }
 
     /// Advances one round with execution *driven from outside*: `driver`
@@ -786,7 +681,8 @@ impl<'p> Platform<'p> {
     /// and returns the counters plus every wire-encoded batch frame as
     /// `(session = pod index, seq, frame)` triples using the same
     /// pre-partitioned sequence layout as the built-in paths
-    /// (`seq = pod_index * ceil(execs_per_pod / batch) + k`).
+    /// ([`PodBatcher`](crate::PodBatcher):
+    /// `seq = pod_index * ceil(execs_per_pod / batch) + k`).
     ///
     /// The platform ingests the frames in `(session, seq)` order —
     /// exactly the order the pipelined merger releases them and the
@@ -806,296 +702,105 @@ impl<'p> Platform<'p> {
     {
         self.distribute_overlay();
         let batch = self.config.ingest.batch_size.max(1) as u64;
-        let drv = driver(&mut self.pods, batch);
+        let drv = driver(&mut self.fleet.pods, batch);
         let mut frames = drv.frames;
-        frames.sort_by_key(|&(session, seq, _)| (session, seq));
-        for (_, _, frame) in &frames {
-            let traces = wire::decode_batch(frame).expect("driver produced a corrupt frame");
-            for trace in &traces {
-                self.hive.ingest(trace);
-            }
+        let id = self.fleet.id;
+        fleet::ingest_driven(&mut self.hive, &mut frames, |_| id);
+        if self.durable.is_none() {
+            frames.clear();
         }
-        let frames = if self.durable.is_some() {
-            frames
-        } else {
-            Vec::new()
-        };
-        self.finish_round(drv.executions, drv.failures, drv.directed, frames)
+        self.finish_round(drv.counts, frames)
     }
 
     /// Step 1 of a round: push the hive's current overlay to every pod.
     fn distribute_overlay(&mut self) {
-        let (overlay, version) = {
-            let (o, v) = self.hive.current_overlay();
-            (o.clone(), v)
-        };
-        if self.config.fixes_enabled {
-            for pod in &mut self.pods {
-                pod.install_fix(overlay.clone(), version);
-            }
-        }
+        fleet::distribute_overlays(
+            std::slice::from_mut(&mut self.fleet),
+            &self.hive,
+            self.config.fixes_enabled,
+        );
     }
 
     /// Steps 3–6 of a round, shared by [`round`](Self::round) and
     /// [`round_driven`](Self::round_driven): fix pipeline, guidance,
     /// report, durable commit.
-    fn finish_round(
-        &mut self,
-        executions: u64,
-        failures: u64,
-        directed: u64,
-        frames: Vec<(u64, u64, Vec<u8>)>,
-    ) -> RoundReport {
-        // 3. Fix pipeline. Trial validation (the expensive part: each
-        //    candidate re-executes every pooled case in the repair lab)
-        //    runs on scoped threads, one proposal per thread — proposal
-        //    count is bounded by distinct diagnosed failure modes, so
-        //    the fan-out is small. Every proposal is validated against
-        //    the *round-start* overlay; promotions are then applied
-        //    sequentially in proposal order, so the chosen fixes and
-        //    the overlay-version sequence are deterministic regardless
-        //    of thread scheduling. (Resume replays recorded promotion
-        //    decisions, never re-validation, so durable recovery is
-        //    unaffected by the validation base.)
-        let mut fixes_promoted = 0u64;
-        let mut promoted: Vec<(String, Overlay)> = Vec::new();
-        if self.config.fixes_enabled {
-            let proposals = self.hive.propose_fixes();
-            if !proposals.is_empty() {
-                // Pool each proposal's trial cases from pods: failing
-                // cases of that mode + passing regression cases.
-                let trials: Vec<(Vec<TestCase>, Vec<TestCase>)> = proposals
-                    .iter()
-                    .map(|proposal| {
-                        let failing: Vec<TestCase> = self
-                            .pods
-                            .iter()
-                            .flat_map(|p| p.failing_cases())
-                            .filter(|(_, o)| {
-                                outcome_signature(o).as_deref() == Some(proposal.signature.as_str())
-                            })
-                            .map(|(c, _)| c.clone())
-                            .take(16)
-                            .collect();
-                        let passing: Vec<TestCase> = self
-                            .pods
-                            .iter()
-                            .flat_map(|p| p.passing_cases())
-                            .take(32)
-                            .cloned()
-                            .collect();
-                        (failing, passing)
-                    })
-                    .collect();
-                let base = self.hive.current_overlay().0.clone();
-                let program = self.program;
-                let winners: Vec<_> = std::thread::scope(|s| {
-                    let handles: Vec<_> = proposals
-                        .iter()
-                        .zip(&trials)
-                        .map(|(proposal, (failing, passing))| {
-                            let base = &base;
-                            s.spawn(move || {
-                                rank(
-                                    program,
-                                    base,
-                                    &proposal.candidates,
-                                    failing,
-                                    passing,
-                                    LabConfig::default(),
-                                )
-                                .into_iter()
-                                .next()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("trial validation thread panicked"))
-                        .collect()
-                });
-                for ((proposal, (failing, _)), winner) in proposals.iter().zip(&trials).zip(winners)
-                {
-                    let Some((candidate, validation)) = winner else {
-                        continue;
-                    };
-                    let distribute = match validation.verdict {
-                        Verdict::Distribute => true,
-                        // Predicted deadlock fixes have no failing cases
-                        // yet; distribute on perfect preservation
-                        // evidence.
-                        Verdict::Reject | Verdict::Suggest => {
-                            proposal.signature.starts_with("lock-cycle:")
-                                && failing.is_empty()
-                                && validation.passing_total as usize
-                                    >= self.config.min_preservation_cases
-                                && validation.passing_preserved == validation.passing_total
-                        }
-                    };
-                    if distribute {
-                        self.hive.promote(&proposal.signature, &candidate);
-                        if self.durable.is_some() {
-                            promoted.push((proposal.signature.clone(), candidate.overlay.clone()));
-                        }
-                        fixes_promoted += 1;
-                    }
-                }
-            }
-        }
-
-        // 4. Guidance.
-        if self.config.guidance_enabled {
-            let (plan, _stats) = self.hive.guidance();
-            if !plan.directives.is_empty() {
-                let n = self.pods.len();
-                for (i, d) in plan.directives.into_iter().enumerate() {
-                    // Spread directives; replicate input seeds to a few
-                    // pods so one lost/odd pod cannot stall exploration.
-                    match d {
-                        Directive::InputSeed { .. } => {
-                            for k in 0..3usize {
-                                self.pods[(i * 3 + k) % n].receive_guidance([d.clone()]);
-                            }
-                        }
-                        other => {
-                            self.pods[i % n].receive_guidance([other]);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 5. Report.
+    fn finish_round(&mut self, counts: ExecCounts, frames: Vec<fleet::Frame>) -> RoundReport {
+        let promoted = fleet::fix_and_guide(
+            std::slice::from_mut(&mut self.fleet),
+            &mut self.hive,
+            self.config.fixes_enabled,
+            self.config.guidance_enabled,
+            self.config.min_preservation_cases,
+        );
         let report = RoundReport {
             round: self.round_idx,
-            executions,
-            failures,
-            failure_rate_per_10k: if executions == 0 {
-                0.0
-            } else {
-                failures as f64 * 10_000.0 / executions as f64
-            },
-            fixes_promoted,
+            executions: counts.executions,
+            failures: counts.failures,
+            failure_rate_per_10k: fleet::failure_rate_per_10k(counts.executions, counts.failures),
+            fixes_promoted: promoted.len() as u64,
             overlay_version: self.hive.current_overlay().1,
             coverage: self.hive.coverage(),
             proofs: self.hive.proofs().len() as u64,
-            directed,
+            directed: counts.directed,
         };
         self.round_idx += 1;
         self.history.push(report.clone());
 
-        // 6. Durable commit: frames, promotions, and the round record
-        //    hit the journal and are fsynced before the report (the ack)
-        //    leaves this function.
+        // Durable commit: frames, promotions, and the round record hit
+        // the journal and are fsynced before the report (the ack) leaves
+        // this function.
         let obs = self.config.obs.clone();
-        let clock = obs.span_clock();
-        let commit_hist = obs
-            .registry
-            .as_ref()
-            .map(|r| r.histogram("platform.round_commit_ns"));
-        let frames_journaled = frames.len() as u64;
-        let promotions_journaled = promoted.len() as u64;
-        let commit_span = SpanTimer::start_if(clock.as_ref(), &commit_hist);
-        let commit = self
-            .commit_round(&report, frames, &promoted)
-            .expect("durable round commit failed");
-        let commit_ns = commit_span.map_or(0, SpanTimer::stop);
-        self.telemetry.push(RoundTelemetry {
-            round: report.round,
-            commit_ns,
-            fsync_ns: commit.fsync_ns,
-            frames_journaled,
-            promotions_journaled,
-            compacted: commit.compacted,
-            checkpoint_ns: commit.checkpoint_ns,
-            checkpoint_bytes: commit.checkpoint_bytes,
+        let r = &report;
+        let totals = [r.round, r.executions, r.failures, r.fixes_promoted];
+        let extra = [("overlay_version", r.overlay_version)];
+        let telemetry = fleet::commit_observed(&obs, "platform", totals, &extra, || {
+            self.commit_round(r, frames, &promoted)
         });
-        if let Some(reg) = obs.registry.as_ref() {
-            reg.counter("platform.rounds").incr();
-            reg.counter("platform.executions").add(report.executions);
-            reg.counter("platform.failures").add(report.failures);
-            reg.counter("platform.fixes_promoted")
-                .add(report.fixes_promoted);
-        }
-        // Event fields are content-determined (no timings), so the
-        // events_hash of a platform run is replay- and host-stable.
-        obs.recorder.info(
-            "platform",
-            "round_committed",
-            &[
-                ("round", report.round),
-                ("executions", report.executions),
-                ("failures", report.failures),
-                ("fixes_promoted", report.fixes_promoted),
-                ("overlay_version", report.overlay_version),
-            ],
-            format_args!(
-                "round {} committed: {} executions, {} failures, {} fix(es) promoted",
-                report.round, report.executions, report.failures, report.fixes_promoted
-            ),
-        );
+        self.telemetry.push(telemetry);
         report
     }
 
     /// Appends one committed round to the journal (frames in merge
     /// order, then promotions, then the round record), fsyncs, and
     /// checkpoints into the chain when the journal dwarfs its footprint.
-    /// Returns the commit's telemetry slice (fsync is timed only when a
+    /// Returns the commit's telemetry (fsync is timed only when a
     /// registry is attached; the checkpoint stall is always timed).
     fn commit_round(
         &mut self,
         report: &RoundReport,
-        mut frames: Vec<(u64, u64, Vec<u8>)>,
-        promoted: &[(String, Overlay)],
-    ) -> Result<CommitStats, DurabilityError> {
-        let obs = self.config.obs.clone();
-        if self.durable.is_none() {
-            return Ok(CommitStats::default());
-        }
+        frames: Vec<fleet::Frame>,
+        promoted: &[Promotion],
+    ) -> Result<RoundTelemetry, DurabilityError> {
+        let Some(d) = self.durable.as_mut() else {
+            return Ok(RoundTelemetry::default());
+        };
+        let mut stats = RoundTelemetry {
+            frames_journaled: frames.len() as u64,
+            promotions_journaled: promoted.len() as u64,
+            ..RoundTelemetry::default()
+        };
+        let promotions = promoted
+            .iter()
+            .map(|p| {
+                let mut body = Vec::new();
+                p.encode_into(&mut body);
+                (0, body)
+            })
+            .collect();
         // Capture the pod population *after* guidance queued next-round
         // directives, so the durable image is exactly what an
         // uninterrupted process would carry into the next round.
-        let pod_body = encode_pod_states(&self.pods);
-        let d = self.durable.as_mut().expect("checked above");
-        frames.sort_by_key(|&(session, seq, _)| (session, seq));
-        let mut rec = Vec::new();
-        for (session, seq, bytes) in &frames {
-            rec.clear();
-            journal::append_record(&mut rec, REC_FRAME, *session, *seq, bytes);
-            d.store.journal.append(&rec)?;
-            let floor = d.frame_floors.entry(*session).or_insert(0);
-            *floor = (*floor).max(seq + 1);
-        }
-        for (signature, overlay) in promoted {
-            let mut body = Vec::new();
-            codec::put_str(&mut body, signature);
-            overlay.encode_into(&mut body);
-            rec.clear();
-            journal::append_record(&mut rec, REC_PROMOTE, SESSION_PROMOTE, d.promote_seq, &body);
-            d.promote_seq += 1;
-            d.store.journal.append(&rec)?;
-        }
-        rec.clear();
-        journal::append_record(&mut rec, REC_PODS, 0, report.round, &pod_body);
-        d.store.journal.append(&rec)?;
+        let pods = encode_pod_states(&self.fleet.pods);
+        let frames = frames.into_iter().map(|f| (0, f)).collect();
         let mut body = Vec::new();
         report.encode_into(&mut body);
-        rec.clear();
-        journal::append_record(&mut rec, REC_ROUND, SESSION_ROUND, report.round, &body);
-        d.store.journal.append(&rec)?;
-        let clock = obs.span_clock();
-        let fsync_hist = obs.registry.as_ref().map(|r| r.histogram("hive.fsync_ns"));
-        let fsync_span = SpanTimer::start_if(clock.as_ref(), &fsync_hist);
-        d.store.journal.sync()?;
-        let fsync_ns = fsync_span.map_or(0, SpanTimer::stop);
+        let round = (report.round, body.as_slice());
+        let pods = [(0, 0, pods.as_slice())];
+        stats.fsync_ns = d.journal_round(frames, promotions, &pods, round, &self.config.obs)?;
 
         // Checkpoint when the journal has outgrown the chain footprint,
         // then truncate it.
-        let mut stats = CommitStats {
-            fsync_ns,
-            ..CommitStats::default()
-        };
-        if d.store.checkpoint_due() {
+        if d.stores[0].checkpoint_due() {
             let started = std::time::Instant::now();
             stats.checkpoint_bytes = self.write_checkpoint(true)?;
             stats.checkpoint_ns = started.elapsed().as_nanos() as u64;
@@ -1113,9 +818,9 @@ impl<'p> Platform<'p> {
             .durable
             .as_mut()
             .ok_or(DurabilityError::NotConfigured)?;
-        let app_meta = encode_app_meta(self.round_idx, &self.history, &self.pods);
+        let app_meta = encode_app_meta(self.round_idx, &self.history, &self.fleet.pods);
         let hive = &self.hive;
-        let written = d.store.checkpoint(
+        let written = d.stores[0].checkpoint(
             |kind| match kind {
                 RecordKind::Full => hive.encode_state(),
                 RecordKind::Delta => hive.encode_state_delta(),
@@ -1165,7 +870,7 @@ impl<'p> Platform<'p> {
     /// process-equivalence invariant: a resumed platform's pod states
     /// equal the uninterrupted run's at the same committed round.
     pub fn export_pod_states(&self) -> Vec<PodState> {
-        self.pods.iter().map(Pod::export_state).collect()
+        self.fleet.pods.iter().map(Pod::export_state).collect()
     }
 
     /// Rounds committed so far.
@@ -1205,7 +910,7 @@ impl<'p> Platform<'p> {
     /// after a round commits, this stays below `compact_ratio` times the
     /// chain footprint (or `min_compact_wal_bytes`).
     pub fn wal_len(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.store.journal.len())
+        self.durable.as_ref().map(|d| d.stores[0].journal.len())
     }
 
     /// Generation of the chain head (`None` when the platform is not
@@ -1213,7 +918,7 @@ impl<'p> Platform<'p> {
     pub fn chain_head_generation(&self) -> Option<u64> {
         self.durable
             .as_ref()
-            .and_then(|d| d.store.chain.head_generation())
+            .and_then(|d| d.stores[0].chain.head_generation())
     }
 
     /// Paged-tree counters (zeros when [`PlatformConfig::tree_paging`]
@@ -1222,144 +927,31 @@ impl<'p> Platform<'p> {
         self.hive.tree().page_stats()
     }
 
-    /// The original serial loop: run, ingest, repeat. When `frame_log`
-    /// is set, traces are additionally batched into wire frames with the
-    /// same `(session = pod index, seq)` layout the pipelined path uses,
-    /// so the durable journal is identical either way.
-    fn execute_serial(
-        &mut self,
-        execs_per_pod: u32,
-        frame_log: Option<&FrameLog>,
-    ) -> (u64, u64, u64) {
-        let batch = self.config.ingest.batch_size.max(1) as u64;
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let (mut executions, mut failures, mut directed) = (0u64, 0u64, 0u64);
-        for (pod_index, pod) in self.pods.iter_mut().enumerate() {
-            let pod_index = pod_index as u64;
-            let mut next_seq = pod_index * frames_per_pod;
-            let mut buf: Vec<softborg_trace::ExecutionTrace> = Vec::new();
-            for _ in 0..execs_per_pod {
-                let run = pod.run_once();
-                executions += 1;
-                if run.result.outcome.is_failure() {
-                    failures += 1;
-                }
-                if run.directed {
-                    directed += 1;
-                }
-                if let Some(log) = frame_log {
-                    buf.push(run.trace.clone());
-                    if buf.len() as u64 == batch {
-                        let frame = wire::encode_batch(&buf);
-                        log.lock()
-                            .expect("frame log poisoned")
-                            .push((pod_index, next_seq, frame));
-                        next_seq += 1;
-                        buf.clear();
-                    }
-                }
-                self.hive.ingest(&run.trace);
-            }
-            if !buf.is_empty() {
-                let frame = wire::encode_batch(&buf);
-                if let Some(log) = frame_log {
-                    log.lock()
-                        .expect("frame log poisoned")
-                        .push((pod_index, next_seq, frame));
-                }
-                buf.clear();
-            }
-        }
-        (executions, failures, directed)
-    }
-
     /// Pods run on scoped threads and report wire-encoded batch frames
     /// into the hive's staged ingest pipeline while it decodes,
-    /// reconstructs, and merges concurrently.
-    ///
-    /// Frame sequence numbers are pre-partitioned by pod index (each pod
-    /// produces exactly `ceil(execs_per_pod / batch)` frames), so the
-    /// ordered merger replays traces in exact pod-major order — the same
-    /// order the serial loop ingests in. Pods carry their own RNG and
-    /// receive no mid-round feedback, so the resulting hive state is
-    /// byte-identical to [`execute_serial`](Self::execute_serial).
-    fn execute_pipelined(
-        &mut self,
-        execs_per_pod: u32,
-        frame_log: Option<&FrameLog>,
-    ) -> (u64, u64, u64) {
+    /// reconstructs, and merges concurrently. Frame sequence numbers are
+    /// pre-partitioned by pod index, so the ordered merger replays traces
+    /// in exact pod-major order — the order the serial driver ingests in.
+    fn execute_pipelined(&mut self, execs_per_pod: u32, log: &FrameLog) -> ExecCounts {
         let batch = self.config.ingest.batch_size.max(1) as u64;
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let n_pods = self.pods.len();
-        let threads = self.config.ingest.pod_threads.max(1).min(n_pods.max(1));
-        let chunk_size = n_pods.div_ceil(threads).max(1);
-        let mut cfg = self.config.ingest.pipeline.clone();
-        if !cfg.obs.is_enabled() {
-            // One attach point: platform-level telemetry flows into the
-            // ingest stage unless the pipeline has its own sinks.
-            cfg.obs = self.config.obs.clone();
-        }
-        let pods = &mut self.pods;
-        let (counters, stats) = self.hive.ingest_frames(&cfg, move |tx| {
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (ci, chunk) in pods.chunks_mut(chunk_size).enumerate() {
-                    let tx = tx.clone();
-                    handles.push(s.spawn(move || {
-                        let (mut executions, mut failures, mut directed) = (0u64, 0u64, 0u64);
-                        for (j, pod) in chunk.iter_mut().enumerate() {
-                            let pod_index = (ci * chunk_size + j) as u64;
-                            let mut next_seq = pod_index * frames_per_pod;
-                            let mut buf: Vec<softborg_trace::ExecutionTrace> =
-                                Vec::with_capacity(batch as usize);
-                            for _ in 0..execs_per_pod {
-                                let run = pod.run_once();
-                                executions += 1;
-                                if run.result.outcome.is_failure() {
-                                    failures += 1;
-                                }
-                                if run.directed {
-                                    directed += 1;
-                                }
-                                buf.push(run.trace);
-                                if buf.len() as u64 == batch {
-                                    let frame = wire::encode_batch(&buf);
-                                    if let Some(log) = frame_log {
-                                        log.lock().expect("frame log poisoned").push((
-                                            pod_index,
-                                            next_seq,
-                                            frame.clone(),
-                                        ));
-                                    }
-                                    tx.submit_at(next_seq, frame);
-                                    next_seq += 1;
-                                    buf.clear();
-                                }
-                            }
-                            if !buf.is_empty() {
-                                let frame = wire::encode_batch(&buf);
-                                if let Some(log) = frame_log {
-                                    log.lock().expect("frame log poisoned").push((
-                                        pod_index,
-                                        next_seq,
-                                        frame.clone(),
-                                    ));
-                                }
-                                tx.submit_at(next_seq, frame);
-                            }
-                        }
-                        (executions, failures, directed)
-                    }));
-                }
-                drop(tx);
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pod thread panicked"))
-                    .fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z))
-            })
+        let pod_threads = self.config.ingest.pod_threads;
+        let cfg = fleet::pipeline_config(&self.config.ingest.pipeline, &self.config.obs);
+        let fleets = std::slice::from_mut(&mut self.fleet);
+        let (per_lane, stats) = self.hive.ingest_frames(&cfg, move |tx| {
+            fleet::execute_threaded(
+                fleets,
+                execs_per_pod,
+                batch,
+                pod_threads,
+                tx,
+                |tx, _, slot, seq, frame| {
+                    log.push(slot, seq, &frame);
+                    tx.submit_at(seq, frame);
+                },
+            )
         });
         self.last_ingest = Some(stats);
-        counters
+        per_lane[0]
     }
 
     /// Pipeline statistics from the most recent pipelined round, if any.
@@ -1406,11 +998,7 @@ impl<'p> Platform<'p> {
 /// replaying the journal's `REC_PODS` records would.
 fn encode_app_meta(round_idx: u64, history: &[RoundReport], pods: &[Pod<'_>]) -> Vec<u8> {
     let mut buf = Vec::new();
-    codec::put_u64(&mut buf, round_idx);
-    codec::put_u32(&mut buf, history.len() as u32);
-    for report in history {
-        report.encode_into(&mut buf);
-    }
+    fleet::encode_history(&mut buf, round_idx, history, RoundReport::encode_into);
     buf.extend_from_slice(&encode_pod_states(pods));
     buf
 }
@@ -1419,20 +1007,27 @@ fn decode_app_meta(
     bytes: &[u8],
 ) -> Result<(u64, Vec<RoundReport>, Vec<PodState>), DurabilityError> {
     let mut r = codec::Reader::new(bytes);
-    let round_idx = r.u64("app_meta.round_idx")?;
-    let n = r.seq_len("app_meta.history", 112)?;
-    let mut history = Vec::with_capacity(n);
-    for _ in 0..n {
-        history.push(RoundReport::decode(&mut r)?);
-    }
+    let labels = ["app_meta.round_idx", "app_meta.history"];
+    let (round_idx, history) = fleet::decode_history(&mut r, labels, RoundReport::decode)?;
     let pods = decode_pod_states_reader(&mut r)?;
-    if !r.is_empty() {
-        return Err(DurabilityError::Corrupt(format!(
-            "app_meta has {} trailing byte(s)",
-            r.remaining()
-        )));
-    }
+    fleet::expect_end(&r, "app_meta")?;
     Ok((round_idx, history, pods))
+}
+
+/// The built-in serial driver [`Platform::round`] hands to
+/// [`Platform::round_driven`] when [`IngestSettings::pipelined`] is off:
+/// the pods run one after another through the shared pod loop, and their
+/// frames land at the `(session = pod index, seq)` slots the pipelined
+/// path uses.
+fn serial_driver(pods: &mut [Pod<'_>], execs_per_pod: u32, batch: u64) -> DrivenExecution {
+    let mut frames = Vec::new();
+    let mut counts = ExecCounts::default();
+    for (slot, pod) in pods.iter_mut().enumerate() {
+        let slot = slot as u64;
+        let emit = |seq, frame| frames.push((slot, seq, frame));
+        counts.add(fleet::run_pod(pod, slot, execs_per_pod, batch, emit));
+    }
+    DrivenExecution { counts, frames }
 }
 
 /// Encodes the whole pod population for a `REC_PODS` journal record or a
@@ -1453,12 +1048,7 @@ pub(crate) fn encode_pod_states(pods: &[Pod<'_>]) -> Vec<u8> {
 pub(crate) fn decode_pod_states(bytes: &[u8]) -> Result<Vec<PodState>, DurabilityError> {
     let mut r = codec::Reader::new(bytes);
     let states = decode_pod_states_reader(&mut r)?;
-    if !r.is_empty() {
-        return Err(DurabilityError::Corrupt(format!(
-            "pod-state record has {} trailing byte(s)",
-            r.remaining()
-        )));
-    }
+    fleet::expect_end(&r, "pod-state record")?;
     Ok(states)
 }
 

@@ -19,11 +19,10 @@ use crate::sched::{SchedStats, SimClock};
 use crate::world::{ChanId, DiskId, IoStats, Proc, Wake, World, WorldCtx};
 use softborg::multi::{MultiDrivenExecution, MultiPlatform, MultiRoundReport};
 use softborg::platform::{DrivenExecution, Platform, RoundReport};
+use softborg::{ExecCounts, PodBatcher};
 use softborg_netsim::{Addr, SimConfig};
 use softborg_obs::FlightRecorder;
 use softborg_pod::Pod;
-use softborg_trace::wire;
-use softborg_trace::ExecutionTrace;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -100,25 +99,23 @@ fn parse_chan_msg(msg: Vec<u8>) -> (u64, u64, Vec<u8>) {
 }
 
 /// One pod as a cooperative proc: a timer tick per execution, frames
-/// flushed through the bounded channel, blocking on
-/// [`Wake::ChanWritable`] when the collector falls behind.
+/// (batched by the platforms' own [`PodBatcher`]) flushed through the
+/// bounded channel, blocking on [`Wake::ChanWritable`] when the
+/// collector falls behind.
 struct PodProc<'a, 'p> {
     pod: &'a mut Pod<'p>,
     /// Header session: pod index (single-platform) or lane (multi).
     session: u64,
     /// Global stagger index for the start offset.
     stagger: u64,
-    execs_left: u32,
-    batch: u64,
-    next_seq: u64,
-    buf: Vec<ExecutionTrace>,
+    batcher: PodBatcher,
     chan: ChanId,
     interval_us: u64,
     spread_us: u64,
     /// A frame the full channel refused, waiting for room.
     blocked: Option<Vec<u8>>,
-    /// Shared `(executions, failures, directed)`.
-    counters: Rc<RefCell<(u64, u64, u64)>>,
+    /// Counters shared by the pods of one session group.
+    counters: Rc<RefCell<ExecCounts>>,
 }
 
 impl PodProc<'_, '_> {
@@ -126,26 +123,8 @@ impl PodProc<'_, '_> {
     /// frame boundary was reached.
     fn exec_once(&mut self) -> Option<Vec<u8>> {
         let run = self.pod.run_once();
-        {
-            let mut c = self.counters.borrow_mut();
-            c.0 += 1;
-            if run.result.outcome.is_failure() {
-                c.1 += 1;
-            }
-            if run.directed {
-                c.2 += 1;
-            }
-        }
-        self.buf.push(run.trace);
-        self.execs_left -= 1;
-        if self.buf.len() as u64 == self.batch || (self.execs_left == 0 && !self.buf.is_empty()) {
-            let frame = wire::encode_batch(&self.buf);
-            self.buf.clear();
-            let msg = chan_msg(self.session, self.next_seq, &frame);
-            self.next_seq += 1;
-            return Some(msg);
-        }
-        None
+        let (seq, frame) = self.batcher.record(run, &mut self.counters.borrow_mut())?;
+        Some(chan_msg(self.session, seq, &frame))
     }
 
     /// Ships `msg` or parks on the write-blocking point.
@@ -161,7 +140,7 @@ impl PodProc<'_, '_> {
     }
 
     fn arm_next(&self, ctx: &mut WorldCtx<'_>) {
-        if self.execs_left > 0 {
+        if self.batcher.execs_left() > 0 {
             ctx.set_timer(self.interval_us, TAG_EXEC);
         }
     }
@@ -169,7 +148,7 @@ impl PodProc<'_, '_> {
 
 impl Proc for PodProc<'_, '_> {
     fn on_start(&mut self, ctx: &mut WorldCtx<'_>) {
-        if self.execs_left > 0 {
+        if self.batcher.execs_left() > 0 {
             ctx.set_timer(1 + self.stagger * self.spread_us, TAG_EXEC);
         }
     }
@@ -243,8 +222,8 @@ pub fn sim_round(
     let recorder = platform.config().obs.recorder.clone();
     let prev_clock = retime(&recorder, &clock);
     let report = platform.round_driven(|pods, batch| {
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
-        let counters = Rc::new(RefCell::new((0u64, 0u64, 0u64)));
+        let frames_per_pod = PodBatcher::frames_per_pod(execs_per_pod, batch);
+        let counters = Rc::new(RefCell::new(ExecCounts::default()));
         let n_pods = pods.len();
         let mut world = World::new(
             SimConfig {
@@ -263,10 +242,7 @@ pub fn sim_round(
                 pod,
                 session: i as u64,
                 stagger: i as u64,
-                execs_left: execs_per_pod,
-                batch,
-                next_seq: i as u64 * frames_per_pod,
-                buf: Vec::new(),
+                batcher: PodBatcher::new(i as u64, execs_per_pod, batch),
                 chan,
                 interval_us: cfg.exec_interval_us,
                 spread_us: cfg.start_spread_us,
@@ -299,11 +275,9 @@ pub fn sim_round(
             sched: world.sched_stats(),
             io: world.io_stats(),
         });
-        let (executions, failures, directed) = *counters.borrow();
+        let counts = *counters.borrow();
         DrivenExecution {
-            executions,
-            failures,
-            directed,
+            counts,
             frames: collected,
         }
     });
@@ -331,10 +305,10 @@ pub fn sim_round_multi(
     let recorder = platform.config().obs.recorder.clone();
     let prev_clock = retime(&recorder, &clock);
     let report = platform.round_driven(|tasks, batch| {
-        let frames_per_pod = u64::from(execs_per_pod).div_ceil(batch);
+        let frames_per_pod = PodBatcher::frames_per_pod(execs_per_pod, batch);
         let n_lanes = tasks.len();
-        let lane_counters: Vec<Rc<RefCell<(u64, u64, u64)>>> = (0..n_lanes)
-            .map(|_| Rc::new(RefCell::new((0u64, 0u64, 0u64))))
+        let lane_counters: Vec<Rc<RefCell<ExecCounts>>> = (0..n_lanes)
+            .map(|_| Rc::new(RefCell::new(ExecCounts::default())))
             .collect();
         let mut world = World::new(
             SimConfig {
@@ -355,10 +329,7 @@ pub fn sim_round_multi(
                     pod,
                     session: lane,
                     stagger,
-                    execs_left: execs_per_pod,
-                    batch,
-                    next_seq: j as u64 * frames_per_pod,
-                    buf: Vec::new(),
+                    batcher: PodBatcher::new(j as u64, execs_per_pod, batch),
                     chan,
                     interval_us: cfg.exec_interval_us,
                     spread_us: cfg.start_spread_us,

@@ -445,9 +445,9 @@ fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
     let s = scenarios::token_parser();
     let serial_dir = campaign_dir("pipe-serial");
     let piped_dir = campaign_dir("pipe-piped");
-    let piped_cfg = |dir: PathBuf| PlatformConfig {
+    let ingest_cfg = |pipelined: bool, dir: PathBuf| PlatformConfig {
         ingest: IngestSettings {
-            pipelined: true,
+            pipelined,
             pod_threads: 3,
             batch_size: 7,
             pipeline: IngestConfig {
@@ -457,19 +457,45 @@ fn pipelined_durable_rounds_write_the_same_journal_as_serial() {
         },
         ..config(Some(DurabilityConfig::new(dir)))
     };
+    let serial_cfg = |dir: PathBuf| ingest_cfg(false, dir);
+    let piped_cfg = |dir: PathBuf| ingest_cfg(true, dir);
     {
-        let mut serial = Platform::new(
-            &s.program,
-            config(Some(DurabilityConfig::new(serial_dir.clone()))),
-        );
-        serial.run(3, EXECS);
+        // The serial driver journals the same frames at the same
+        // (session, seq) slots as the pipelined path: after every round
+        // the journals are equal byte for byte, and so is every
+        // checkpoint record.
+        let mut serial = Platform::new(&s.program, serial_cfg(serial_dir.clone()));
         let mut piped = Platform::new(&s.program, piped_cfg(piped_dir.clone()));
-        piped.run(3, EXECS);
+        let mut journaled = 0;
+        for round in 0..3 {
+            serial.round(EXECS);
+            piped.round(EXECS);
+            let serial_wal = std::fs::read(serial_dir.join("hive.wal")).unwrap();
+            let piped_wal = std::fs::read(piped_dir.join("hive.wal")).unwrap();
+            assert!(
+                serial_wal == piped_wal,
+                "round {round}: serial and pipelined journals differ"
+            );
+            journaled += serial_wal.len();
+        }
+        assert!(journaled > 0, "no round left a journal to compare");
         assert_eq!(serial.hive_state(), piped.hive_state());
+        for ext in ["full", "delta"] {
+            let serial_chain = chain_records(&serial_dir, ext);
+            let piped_chain = chain_records(&piped_dir, ext);
+            assert_eq!(serial_chain.len(), piped_chain.len());
+            for (a, b) in serial_chain.iter().zip(&piped_chain) {
+                assert_eq!(a.file_name(), b.file_name());
+                assert!(
+                    std::fs::read(a).unwrap() == std::fs::read(b).unwrap(),
+                    "chain record {} differs",
+                    a.display()
+                );
+            }
+        }
     }
     // Both journals replay to the same hive, killed and resumed.
-    let (from_serial, _) =
-        Platform::resume(&s.program, config(Some(DurabilityConfig::new(serial_dir)))).unwrap();
+    let (from_serial, _) = Platform::resume(&s.program, serial_cfg(serial_dir)).unwrap();
     let (from_piped, _) = Platform::resume(&s.program, piped_cfg(piped_dir)).unwrap();
     assert_eq!(from_serial.committed_rounds(), 3);
     assert_eq!(from_piped.committed_rounds(), 3);

@@ -417,3 +417,117 @@ fn legacy_shard_snapshot_is_refused_never_cold_started() {
     }
     assert!(shard.join("hive.snap.prev").exists());
 }
+
+/// Both platforms run one round core: a one-program, one-shard
+/// multi-platform is the single-program platform, round for round — the
+/// same per-round counters, the same hive state bytes and the same pod
+/// images (lane 0's pods draw the platform's seeds).
+#[test]
+fn one_program_multi_platform_matches_platform() {
+    use softborg::{Platform, PlatformConfig};
+    for s in fleet_scenarios() {
+        for seed in [1u64, 7] {
+            let pod = softborg::pod::PodConfig {
+                input_range: s.input_range,
+                ..softborg::pod::PodConfig::default()
+            };
+            let mut single = Platform::new(
+                &s.program,
+                PlatformConfig {
+                    n_pods: 8,
+                    pod: pod.clone(),
+                    seed,
+                    ..PlatformConfig::default()
+                },
+            );
+            let mut multi = MultiPlatform::new(
+                &[FleetSpec {
+                    program: &s.program,
+                    pod,
+                }],
+                MultiPlatformConfig {
+                    n_pods: 8,
+                    n_shards: 1,
+                    seed,
+                    ..MultiPlatformConfig::default()
+                },
+            );
+            let what = format!("{} seed {seed}", s.name);
+            for round in 0..6 {
+                let a = single.round(24);
+                let b = multi.round(24);
+                let lane = &b.programs[0];
+                assert_eq!(
+                    (
+                        a.executions,
+                        a.failures,
+                        a.fixes_promoted,
+                        a.overlay_version,
+                        a.directed
+                    ),
+                    (
+                        b.executions,
+                        b.failures,
+                        b.fixes_promoted,
+                        lane.overlay_version,
+                        lane.directed
+                    ),
+                    "{what}: round {round} counters diverged"
+                );
+                let hive = multi.sharded().hive(s.program.id()).unwrap();
+                assert_eq!(
+                    single.hive_state(),
+                    hive.encode_state(),
+                    "{what}: round {round} hive state diverged"
+                );
+                assert_eq!(
+                    single.export_pod_states(),
+                    multi.export_pod_states()[0],
+                    "{what}: round {round} pod images diverged"
+                );
+            }
+        }
+    }
+}
+
+/// A fleet with no pods runs empty rounds on both platforms: guidance
+/// still plans (so a resumed campaign reaches the same hive state) but
+/// has no pod to send directives to.
+#[test]
+fn zero_pod_fleets_run_empty_rounds_on_both_platforms() {
+    use softborg::{Platform, PlatformConfig};
+    let scs = fleet_scenarios();
+    let s = &scs[0];
+    let single_cfg = |dir: PathBuf| PlatformConfig {
+        n_pods: 0,
+        pod: softborg::pod::PodConfig {
+            input_range: s.input_range,
+            ..softborg::pod::PodConfig::default()
+        },
+        durability: Some(DurabilityConfig::new(dir)),
+        ..PlatformConfig::default()
+    };
+    let dir = campaign_dir("zero-pods-single");
+    let mut single = Platform::new(&s.program, single_cfg(dir.clone()));
+    for _ in 0..3 {
+        let r = single.round(10);
+        assert_eq!((r.executions, r.failures, r.directed), (0, 0, 0));
+    }
+    let (resumed, _) = Platform::resume(&s.program, single_cfg(dir.clone())).unwrap();
+    assert_eq!(resumed.committed_rounds(), 3);
+    assert_eq!(resumed.hive_state(), single.hive_state());
+    let _ = std::fs::remove_dir_all(dir);
+
+    let mut multi = MultiPlatform::new(
+        &specs(&scs),
+        MultiPlatformConfig {
+            n_pods: 0,
+            ..config(None)
+        },
+    );
+    for _ in 0..3 {
+        let r = multi.round(10);
+        assert_eq!((r.executions, r.failures), (0, 0));
+        assert!(r.programs.iter().all(|p| p.directed == 0));
+    }
+}
